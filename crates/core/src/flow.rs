@@ -509,10 +509,6 @@ pub enum SimBackend {
     /// iterations — no host-code walk, no per-assignment registry
     /// lookups.
     Compiled,
-    /// [`SimBackend::Compiled`], plus scenario sweeps batch same-shaped
-    /// scenario lanes through one structure-of-arrays pass. Sequential
-    /// (non-swept) runs treat this exactly like `Compiled`.
-    Batched,
 }
 
 impl SimBackend {
@@ -521,7 +517,6 @@ impl SimBackend {
         match self {
             SimBackend::Interpreted => "interpreted",
             SimBackend::Compiled => "compiled",
-            SimBackend::Batched => "batched",
         }
     }
 }
@@ -568,11 +563,9 @@ pub(crate) fn compile_capture(
 ///
 /// With [`SequentialDriver::with_cache`] the driver keeps an
 /// [`EvalCache`] across simulations: iterations whose annotations did
-/// not change replay the cached monitors without running the stimulus,
-/// and — on designs with a declared static schedule — iterations with a
-/// small dirty set re-simulate only the dirty fan-out cone (see
-/// [`crate::cache`] for the soundness argument). The refinement outcome
-/// is bit-identical either way.
+/// not change replay the cached monitors without running the stimulus
+/// (see [`crate::cache`] for the soundness argument). The refinement
+/// outcome is bit-identical either way.
 pub struct SequentialDriver<F> {
     sim: F,
     cache: Option<EvalCache>,
@@ -614,9 +607,7 @@ impl<F: FnMut(&Design, usize)> SequentialDriver<F> {
         }
     }
 
-    /// Selects the evaluation backend. [`SimBackend::Batched`] behaves
-    /// like [`SimBackend::Compiled`] on the sequential driver (there are
-    /// no scenario lanes to batch).
+    /// Selects the evaluation backend.
     pub fn set_backend(&mut self, backend: SimBackend) {
         self.backend = backend;
     }
@@ -706,26 +697,6 @@ impl<F: FnMut(&Design, usize)> SimDriver for SequentialDriver<F> {
                 let cycles = cache.replay(design);
                 cache.note(recorder.as_ref(), signals, 0);
                 cycles
-            }
-            CachePlan::Partial { clean } => {
-                design.set_passive(&clean);
-                match (compiled_wanted, &self.compiled) {
-                    (true, Some(unit)) => {
-                        design.replay_compiled(&unit.program, &unit.trace);
-                        recorder.inc("backend.compiled_runs", 1);
-                    }
-                    _ => (self.sim)(design, iteration),
-                }
-                design.clear_passive();
-                let cache = self.cache.as_mut().expect("partial implies a cache");
-                cache.splice_clean(design, &clean);
-                cache.note(
-                    recorder.as_ref(),
-                    clean.len() as u64,
-                    signals - clean.len() as u64,
-                );
-                cache.store(design);
-                design.cycle()
             }
             CachePlan::Cold => {
                 if record_graph && compiled_wanted {
@@ -912,9 +883,8 @@ impl RefinementFlow {
     /// [`Event::BackendFallback`]) whenever the design refuses a static
     /// schedule or the tape fails its verification replay. The refined
     /// types, statistics and journal counters are bit-identical across
-    /// backends. Swept entry points batch scenario lanes when
-    /// [`SimBackend::Batched`] is selected on their [`SweepDriver`]
-    /// (see [`crate::sweep::SweepDriver::set_backend`]).
+    /// backends. Swept entry points take their backend from their
+    /// [`SweepDriver`] (see [`crate::sweep::SweepDriver::set_backend`]).
     pub fn set_backend(&mut self, backend: SimBackend) {
         self.backend = backend;
     }

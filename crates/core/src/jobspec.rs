@@ -22,8 +22,7 @@ use crate::flow::{RefinementFlow, RunBudget, SimBackend};
 /// How to drive the refinement flow for one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
-    /// Evaluation backend name: `"interpreted"`, `"compiled"` or
-    /// `"batched"`.
+    /// Evaluation backend name: `"interpreted"` or `"compiled"`.
     pub backend: String,
     /// Whether to enable the cross-iteration evaluation cache.
     pub cache: bool,
@@ -67,9 +66,8 @@ impl FlowSpec {
         match self.backend.as_str() {
             "interpreted" => Ok(SimBackend::Interpreted),
             "compiled" => Ok(SimBackend::Compiled),
-            "batched" => Ok(SimBackend::Batched),
             other => Err(SpecError::new(format!(
-                "flow spec: unknown backend {other:?} (expected interpreted, compiled or batched)"
+                "flow spec: unknown backend {other:?} (expected interpreted or compiled)"
             ))),
         }
     }
@@ -318,11 +316,18 @@ mod tests {
         );
         let no_scenarios = r#"{"tenant":"t","design":{"kind":"lms"},"scenarios":[]}"#;
         assert!(JobSpec::from_json(no_scenarios).is_err());
-        let bad_backend = r#"{"tenant":"t","design":{"kind":"lms"},
-            "scenarios":[{"seed":1,"snr_db":28,"channel_taps":[],"samples":4}],
-            "flow":{"backend":"gpu"}}"#;
-        let err = JobSpec::from_json(bad_backend).expect_err("unknown backend");
-        assert!(err.to_string().contains("backend"), "{err}");
+        for backend in ["gpu", "batched"] {
+            let bad_backend = format!(
+                r#"{{"tenant":"t","design":{{"kind":"lms"}},
+                "scenarios":[{{"seed":1,"snr_db":28,"channel_taps":[],"samples":4}}],
+                "flow":{{"backend":"{backend}"}}}}"#
+            );
+            let err = JobSpec::from_json(&bad_backend).expect_err("unknown backend");
+            assert!(
+                err.to_string().contains("expected interpreted or compiled"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl LmsEqualizer {
         }
         // Every assignment in `step` executes unconditionally each cycle
         // and the slicer decision goes through `select_positive`, so the
-        // incremental engine may re-simulate dirty cones partially.
+        // compiled backend may lower the captured run to a tape.
         design.declare_static_schedule();
         LmsEqualizer {
             design: design.clone(),

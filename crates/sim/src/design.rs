@@ -108,10 +108,6 @@ struct SignalState {
     /// window caps the search).
     granularity: Option<i32>,
     non_dyadic: bool,
-    /// Passive signals execute normally (values, quantization, range
-    /// propagation, RNG draws) but do not touch their own monitors —
-    /// the incremental engine splices cached stats for them instead.
-    passive: bool,
 }
 
 impl SignalState {
@@ -135,7 +131,6 @@ impl SignalState {
             writes: 0,
             granularity: None,
             non_dyadic: false,
-            passive: false,
         }
     }
 }
@@ -252,12 +247,9 @@ struct DesignInner {
     /// Author-asserted contract: every assignment executes unconditionally
     /// each cycle and every data-dependent decision goes through recorded
     /// dataflow (`select_positive` etc.), never Rust-level branching on
-    /// fixed values. Required for dirty-cone partial re-simulation.
+    /// fixed values. Lint's FXL001 check verifies it against the recorded
+    /// graph.
     static_schedule: bool,
-    /// Optional observability sink: ticks, assignments, overflow and
-    /// saturation counters, per-signal quantization-error histograms and
-    /// `OverflowDetected` events all land here when attached.
-    recorder: Option<Arc<dyn Recorder>>,
     /// When capturing (compiled-backend lowering), every assignment and
     /// tick appends a step here. Requires graph recording, which supplies
     /// the expression roots the steps refer to.
@@ -294,6 +286,11 @@ struct CaptureBuf {
 #[derive(Clone)]
 pub struct Design {
     inner: Rc<RefCell<DesignInner>>,
+    /// Optional observability sink: ticks, assignments, overflow and
+    /// saturation counters, per-signal quantization-error histograms and
+    /// `OverflowDetected` events all land here when attached. Kept apart
+    /// from the registry so an assignment can borrow both at once.
+    recorder: Rc<RefCell<Option<Arc<dyn Recorder>>>>,
 }
 
 impl fmt::Debug for Design {
@@ -335,9 +332,9 @@ impl Design {
                 overflow_event_cap: 1024,
                 dirty: BTreeSet::new(),
                 static_schedule: false,
-                recorder: None,
                 capture: None,
             })),
+            recorder: Rc::default(),
         }
     }
 
@@ -351,17 +348,17 @@ impl Design {
     /// or with [`Design::detach_recorder`]; simulation behavior is
     /// unchanged either way.
     pub fn attach_recorder(&self, recorder: Arc<dyn Recorder>) {
-        self.inner.borrow_mut().recorder = Some(recorder);
+        *self.recorder.borrow_mut() = Some(recorder);
     }
 
     /// Removes the attached recorder, if any.
     pub fn detach_recorder(&self) {
-        self.inner.borrow_mut().recorder = None;
+        *self.recorder.borrow_mut() = None;
     }
 
     /// The currently attached recorder, if any.
     pub fn recorder(&self) -> Option<Arc<dyn Recorder>> {
-        self.inner.borrow().recorder.clone()
+        self.recorder.borrow().clone()
     }
 
     fn add_signal(&self, name: &str, kind: SignalKind, dtype: Option<DType>) -> SignalId {
@@ -535,17 +532,11 @@ impl Design {
     /// visible and the cycle counter increments.
     pub fn tick(&self) {
         let mut inner = self.inner.borrow_mut();
-        for st in &mut inner.signals {
-            if let Some((flt, fix)) = st.next.take() {
-                st.flt = flt;
-                st.fix = fix;
-            }
-        }
-        inner.cycle += 1;
+        clock_edge(&mut inner);
         if let Some(cap) = &mut inner.capture {
             cap.steps.push(TraceStep::Tick);
         }
-        if let Some(rec) = &inner.recorder {
+        if let Some(rec) = self.recorder.borrow().as_deref() {
             rec.inc("sim.ticks", 1);
         }
     }
@@ -781,12 +772,10 @@ impl Design {
         self.inner.borrow().overflow_events.clone()
     }
 
-    /// Merges cached overflow events (from signals that were passive this
-    /// run) with the live ones, restoring chronological order and the
-    /// retention cap — so a partially re-simulated run carries the same
-    /// event set a full run would have produced. The sort is stable, so
-    /// same-cycle events keep live-before-cached order (the one detail a
-    /// full interleaved run could decide differently).
+    /// Merges cached overflow events with the live ones, restoring
+    /// chronological order and the retention cap — the overflow half of
+    /// a cache replay. The sort is stable, so same-cycle events keep
+    /// live-before-cached order.
     pub fn splice_overflow_events(&self, cached: Vec<OverflowEvent>) {
         let mut inner = self.inner.borrow_mut();
         inner.overflow_events.extend(cached);
@@ -832,10 +821,11 @@ impl Design {
     /// data-dependent decision flows through recorded dataflow
     /// ([`Value::select_positive`](crate::Value::select_positive) etc.)
     /// rather than Rust-level branching on fixed values. Model
-    /// constructors that satisfy this (e.g. the LMS equalizer) declare it
-    /// to unlock dirty-cone partial re-simulation; designs with
-    /// fixed-path-steered schedules (e.g. the timing loop's strobe) must
-    /// not.
+    /// constructors that satisfy this (e.g. the LMS equalizer) declare
+    /// it; designs with fixed-path-steered schedules (e.g. the timing
+    /// loop's strobe) must not. Lint's FXL001 check verifies the
+    /// declaration against the recorded graph, and the compiled backend
+    /// only lowers designs that pass it.
     pub fn declare_static_schedule(&self) {
         self.inner.borrow_mut().static_schedule = true;
     }
@@ -845,32 +835,8 @@ impl Design {
         self.inner.borrow().static_schedule
     }
 
-    /// Marks exactly the given signals passive (and every other signal
-    /// active). Passive signals still simulate — values, quantization,
-    /// range propagation and RNG draws are unchanged, so downstream
-    /// signals see identical inputs — but skip their own monitors
-    /// (statistics, counters, histograms, overflow events), which the
-    /// incremental engine splices from cache instead.
-    pub fn set_passive(&self, clean: &[SignalId]) {
-        let mut inner = self.inner.borrow_mut();
-        for st in &mut inner.signals {
-            st.passive = false;
-        }
-        for id in clean {
-            inner.signals[id.0 as usize].passive = true;
-        }
-    }
-
-    /// Marks every signal active again.
-    pub fn clear_passive(&self) {
-        let mut inner = self.inner.borrow_mut();
-        for st in &mut inner.signals {
-            st.passive = false;
-        }
-    }
-
     /// Overwrites the monitors of the named signals with cached snapshots
-    /// — the splice step after a passive (partial) re-simulation. Unlike
+    /// — the splice step of a cache replay. Unlike
     /// [`Design::absorb_stats`] this *replaces* instead of merging.
     ///
     /// # Errors
@@ -1182,9 +1148,7 @@ impl Design {
         let mut inner = self.inner.borrow_mut();
         let recording = inner.recording;
         let st = &mut inner.signals[id.0 as usize];
-        if !st.passive {
-            st.reads += 1;
-        }
+        st.reads += 1;
         let itv = match st.range_override {
             Some(r) => r,
             None => {
@@ -1201,97 +1165,8 @@ impl Design {
     fn assign(&self, id: SignalId, value: Value) {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        let st = &mut inner.signals[id.0 as usize];
-        // Passive signals skip their own monitors (the incremental engine
-        // splices cached stats instead) but everything that other signals
-        // can observe — values, quantization, range propagation and the
-        // shared RNG stream — must behave exactly as in a full run.
-        let passive = st.passive;
-        if !passive {
-            st.writes += 1;
-            st.stat.record(value.fix());
-            st.consumed.record(value.flt() - value.fix());
-            if let Some(rec) = &inner.recorder {
-                rec.inc("sim.assignments", 1);
-            }
-        }
-
-        // LSB+MSB: quantize the fixed path through the signal's type.
-        let mut new_fix = value.fix();
-        if let Some(dt) = &st.dtype {
-            let q = quantize(value.fix(), dt);
-            if !passive {
-                if let Some(rec) = &inner.recorder {
-                    rec.observe(&format!("sim.quant_error.{}", st.name), q.rounding_error);
-                }
-            }
-            if q.overflowed && !passive {
-                st.overflows += 1;
-                if let Some(rec) = &inner.recorder {
-                    match dt.overflow() {
-                        OverflowMode::Saturate => rec.inc("sim.saturations", 1),
-                        _ => rec.inc("sim.overflows", 1),
-                    }
-                }
-                if dt.overflow() == OverflowMode::Error {
-                    if let Some(rec) = &inner.recorder {
-                        rec.record_event(Event::OverflowDetected {
-                            signal: st.name.clone(),
-                            value: value.fix(),
-                            cycle: inner.cycle,
-                        });
-                    }
-                    if inner.overflow_events.len() < inner.overflow_event_cap {
-                        inner.overflow_events.push(OverflowEvent {
-                            signal: id,
-                            name: st.name.clone(),
-                            value: value.fix(),
-                            cycle: inner.cycle,
-                        });
-                    }
-                }
-            }
-            new_fix = q.value;
-        }
-
-        // Float path: either the true reference, or the explicit error
-        // model for divergent feedback signals. The RNG draw happens even
-        // for passive signals — it advances the design-wide stream.
-        let new_flt = match st.error_override {
-            Some(sigma) if sigma > 0.0 => {
-                let half = sigma * 3f64.sqrt();
-                new_fix + inner.rng.symmetric(half)
-            }
-            Some(_) => new_fix,
-            None => value.flt(),
-        };
-        if !passive {
-            st.produced.record(new_flt - new_fix);
-
-            // Granularity: the finest LSB any assigned value actually used.
-            if new_fix != 0.0 && !st.non_dyadic {
-                match dyadic_lsb(new_fix) {
-                    Some(l) => {
-                        st.granularity = Some(st.granularity.map_or(l, |g| g.min(l)));
-                    }
-                    None => {
-                        st.non_dyadic = true;
-                        st.granularity = None;
-                    }
-                }
-            }
-        }
-
-        // Quasi-analytical range propagation (assignment rule: union).
-        if st.range_override.is_none() {
-            let mut incoming = value.interval();
-            if let Some(dt) = &st.dtype {
-                if dt.overflow() == OverflowMode::Saturate {
-                    incoming = incoming.clamp_to(&Interval::from_dtype(dt));
-                }
-            }
-            st.prop = st.prop.union(&incoming);
-        }
+        let recorder = self.recorder.borrow();
+        assign_monitored(inner, &mut RecorderSink(recorder.as_deref()), id, &value);
 
         // Signal-flow graph. A value with no expression trace (a literal,
         // or one built before recording was enabled) records as a constant
@@ -1312,16 +1187,6 @@ impl Design {
                     fix: value.fix(),
                     itv: value.interval(),
                 });
-            }
-        }
-
-        match st.kind {
-            SignalKind::Wire => {
-                st.flt = new_flt;
-                st.fix = new_fix;
-            }
-            SignalKind::Register => {
-                st.next = Some((new_flt, new_fix));
             }
         }
     }
@@ -1346,7 +1211,6 @@ impl Design {
     /// (wrong signal ids, malformed stack discipline) — callers are
     /// expected to have proven the pair with [`Design::verify_compiled`].
     pub fn replay_compiled(&self, program: &CompiledProgram, trace: &BoundTrace) -> u64 {
-        let recorder = self.inner.borrow().recorder.clone();
         let (cycles, flush) = {
             let mut inner = self.inner.borrow_mut();
             let inner = &mut *inner;
@@ -1365,7 +1229,8 @@ impl Design {
                     &mut stack,
                 );
                 if seg.tick_after {
-                    tick_replay(inner, &mut sink);
+                    clock_edge(inner);
+                    sink.ticks += 1;
                 }
             }
             for (st, &reads) in inner.signals.iter_mut().zip(&trace.reads) {
@@ -1373,8 +1238,8 @@ impl Design {
             }
             (inner.cycle, sink.into_flush(inner))
         };
-        if let Some(rec) = &recorder {
-            flush.apply(rec.as_ref());
+        if let Some(rec) = self.recorder.borrow().as_deref() {
+            flush.apply(rec);
         }
         cycles
     }
@@ -1545,152 +1410,57 @@ impl Design {
     }
 }
 
-/// Executes one compiled program over several scenario lanes in a single
-/// structure-of-arrays pass: the operand stack holds all lanes of each
-/// slot contiguously and one shared stack pointer advances through the
-/// identical instruction stream, so the inner lane loop stays tight while
-/// every lane's monitors fold exactly as its own sequential replay would.
-/// All lanes must share the program's shape — callers group scenarios by
-/// [`BoundTrace::fingerprint`] plus exact
-/// [`BoundTrace::shape_words`] equality before batching.
-///
-/// Returns the per-lane cycle counts, in lane order.
-///
-/// # Panics
-///
-/// Panics on program/trace/design inconsistencies (wrong signal ids,
-/// mismatched schedules); callers are expected to have proven every lane
-/// with [`Design::verify_compiled`].
-pub fn replay_compiled_batch(
-    program: &CompiledProgram,
-    lanes: &[(&Design, &BoundTrace)],
-) -> Vec<u64> {
-    if lanes.is_empty() {
-        return Vec::new();
-    }
-    let n = lanes.len();
-    let recorders: Vec<_> = lanes
-        .iter()
-        .map(|(d, _)| d.inner.borrow().recorder.clone())
-        .collect();
-    let mut borrows: Vec<std::cell::RefMut<'_, DesignInner>> =
-        lanes.iter().map(|(d, _)| d.inner.borrow_mut()).collect();
-    let mut sinks: Vec<ReplaySink> = borrows
-        .iter()
-        .map(|b| ReplaySink::new(b.signals.len()))
-        .collect();
-    let mut cursors = vec![0usize; n];
-    let mut stack: Vec<Value> = vec![Value::default(); program.max_stack() * n];
-    let mut sp = 0usize;
+/// Where the monitored assignment sends its recorder-facing side effects:
+/// straight to the recorder ([`RecorderSink`], the interpreter) or into a
+/// buffer flushed once after a compiled replay ([`ReplaySink`]).
+trait MonitorSink {
+    /// One monitored assignment (`sim.assignments`).
+    fn assignment(&mut self);
+    /// The quantization error of one typed assignment
+    /// (`sim.quant_error.<name>`).
+    fn quant_error(&mut self, id: SignalId, name: &str, error: f64);
+    /// A quantization overflow (`sim.saturations` / `sim.overflows`).
+    fn overflow(&mut self, mode: OverflowMode);
+    /// An overflow on an [`OverflowMode::Error`] type
+    /// ([`Event::OverflowDetected`]).
+    fn overflow_detected(&mut self, name: &str, value: f64, cycle: u64);
+}
 
-    let schedule = &lanes[0].1.schedule;
-    for seg in schedule {
-        let kind = &program.kinds[seg.kind as usize];
-        for instr in &kind.instrs {
-            match instr {
-                Instr::Const(c) => {
-                    for slot in &mut stack[sp * n..(sp + 1) * n] {
-                        *slot = Value::with_paths(*c, *c, Interval::point(*c));
-                    }
-                    sp += 1;
-                }
-                Instr::Read(id) => {
-                    for (lane, inner) in borrows.iter().enumerate() {
-                        let st = &inner.signals[id.0 as usize];
-                        let itv = match st.range_override {
-                            Some(r) => r,
-                            None if st.prop.is_empty() => Interval::point(st.fix),
-                            None => st.prop,
-                        };
-                        stack[sp * n + lane] = Value::with_paths(st.flt, st.fix, itv);
-                    }
-                    sp += 1;
-                }
-                Instr::Add | Instr::Sub | Instr::Mul | Instr::Div | Instr::Min | Instr::Max => {
-                    for lane in 0..n {
-                        let r = std::mem::take(&mut stack[(sp - 1) * n + lane]);
-                        let l = std::mem::take(&mut stack[(sp - 2) * n + lane]);
-                        stack[(sp - 2) * n + lane] = match instr {
-                            Instr::Add => l + r,
-                            Instr::Sub => l - r,
-                            Instr::Mul => l * r,
-                            Instr::Div => l / r,
-                            Instr::Min => l.min(r),
-                            _ => l.max(r),
-                        };
-                    }
-                    sp -= 1;
-                }
-                Instr::Neg => {
-                    for slot in &mut stack[(sp - 1) * n..sp * n] {
-                        *slot = -std::mem::take(slot);
-                    }
-                }
-                Instr::Abs => {
-                    for slot in &mut stack[(sp - 1) * n..sp * n] {
-                        *slot = std::mem::take(slot).abs();
-                    }
-                }
-                Instr::Cast(k) => {
-                    let dt = &program.dtypes[*k as usize];
-                    for slot in &mut stack[(sp - 1) * n..sp * n] {
-                        *slot = std::mem::take(slot).cast(dt);
-                    }
-                }
-                Instr::Select => {
-                    for lane in 0..n {
-                        let e = std::mem::take(&mut stack[(sp - 1) * n + lane]);
-                        let t = std::mem::take(&mut stack[(sp - 2) * n + lane]);
-                        let c = std::mem::take(&mut stack[(sp - 3) * n + lane]);
-                        stack[(sp - 3) * n + lane] = c.select_positive(t, e);
-                    }
-                    sp -= 2;
-                }
-                Instr::Store(id) => {
-                    for (lane, inner) in borrows.iter_mut().enumerate() {
-                        let v = std::mem::take(&mut stack[(sp - 1) * n + lane]);
-                        assign_replay(inner, &mut sinks[lane], *id, v);
-                    }
-                    sp -= 1;
-                }
-                Instr::StoreInput(id) => {
-                    for (lane, inner) in borrows.iter_mut().enumerate() {
-                        let s = lanes[lane].1.inputs[cursors[lane]];
-                        cursors[lane] += 1;
-                        assign_replay(
-                            inner,
-                            &mut sinks[lane],
-                            *id,
-                            Value::with_paths(s.flt, s.fix, s.itv),
-                        );
-                    }
-                }
-            }
+/// The interpreter's sink: every call goes straight to the attached
+/// recorder, if any.
+struct RecorderSink<'a>(Option<&'a dyn Recorder>);
+
+impl MonitorSink for RecorderSink<'_> {
+    fn assignment(&mut self) {
+        if let Some(rec) = self.0 {
+            rec.inc("sim.assignments", 1);
         }
-        if seg.tick_after {
-            for (lane, inner) in borrows.iter_mut().enumerate() {
-                tick_replay(inner, &mut sinks[lane]);
+    }
+
+    fn quant_error(&mut self, _id: SignalId, name: &str, error: f64) {
+        if let Some(rec) = self.0 {
+            rec.observe(&format!("sim.quant_error.{name}"), error);
+        }
+    }
+
+    fn overflow(&mut self, mode: OverflowMode) {
+        if let Some(rec) = self.0 {
+            match mode {
+                OverflowMode::Saturate => rec.inc("sim.saturations", 1),
+                _ => rec.inc("sim.overflows", 1),
             }
         }
     }
 
-    let mut cycles = Vec::with_capacity(n);
-    let mut flushes = Vec::with_capacity(n);
-    for (lane, sink) in sinks.into_iter().enumerate() {
-        let inner = &mut *borrows[lane];
-        for (st, &reads) in inner.signals.iter_mut().zip(&lanes[lane].1.reads) {
-            st.reads = reads;
-        }
-        cycles.push(inner.cycle);
-        flushes.push(sink.into_flush(inner));
-    }
-    drop(borrows);
-    for (flush, rec) in flushes.into_iter().zip(&recorders) {
-        if let Some(rec) = rec {
-            flush.apply(rec.as_ref());
+    fn overflow_detected(&mut self, name: &str, value: f64, cycle: u64) {
+        if let Some(rec) = self.0 {
+            rec.record_event(Event::OverflowDetected {
+                signal: name.to_string(),
+                value,
+                cycle,
+            });
         }
     }
-    cycles
 }
 
 /// Monitor side effects of a compiled replay, buffered while the single
@@ -1737,6 +1507,31 @@ impl ReplaySink {
     }
 }
 
+impl MonitorSink for ReplaySink {
+    fn assignment(&mut self) {
+        self.assignments += 1;
+    }
+
+    fn quant_error(&mut self, id: SignalId, _name: &str, error: f64) {
+        self.quant[id.0 as usize].push(error);
+    }
+
+    fn overflow(&mut self, mode: OverflowMode) {
+        match mode {
+            OverflowMode::Saturate => self.saturations += 1,
+            _ => self.overflows += 1,
+        }
+    }
+
+    fn overflow_detected(&mut self, name: &str, value: f64, cycle: u64) {
+        self.events.push(Event::OverflowDetected {
+            signal: name.to_string(),
+            value,
+            cycle,
+        });
+    }
+}
+
 /// The recorder-facing residue of a [`ReplaySink`], applied after the
 /// design borrow is released.
 struct ReplayFlush {
@@ -1773,7 +1568,7 @@ impl ReplayFlush {
     }
 }
 
-/// One cycle-kind execution for the single-lane replay.
+/// One cycle-kind execution of a compiled replay.
 fn replay_segment(
     inner: &mut DesignInner,
     sink: &mut ReplaySink,
@@ -1828,48 +1623,44 @@ fn replay_segment(
             }
             Instr::Store(id) => {
                 let v = stack.pop().expect(UNDERFLOW);
-                assign_replay(inner, sink, *id, v);
+                assign_monitored(inner, sink, *id, &v);
             }
             Instr::StoreInput(id) => {
                 let s = inputs[*cursor];
                 *cursor += 1;
-                assign_replay(inner, sink, *id, Value::with_paths(s.flt, s.fix, s.itv));
+                assign_monitored(inner, sink, *id, &Value::with_paths(s.flt, s.fix, s.itv));
             }
         }
     }
 }
 
-/// The monitored assignment pipeline of [`Design::assign`], with recorder
-/// calls redirected into the [`ReplaySink`] (no graph recording: replays
-/// only run on non-record iterations).
-fn assign_replay(inner: &mut DesignInner, sink: &mut ReplaySink, id: SignalId, value: Value) {
+/// The monitored assignment pipeline (paper Fig. 2): range and error
+/// statistics, quantization through the signal's type, overflow
+/// accounting, `error()` injection, range propagation and the wire or
+/// register commit. [`Design::assign`] and compiled replay both run it;
+/// they differ only in where `sink` sends the recorder-facing effects.
+fn assign_monitored(
+    inner: &mut DesignInner,
+    sink: &mut impl MonitorSink,
+    id: SignalId,
+    value: &Value,
+) {
     let st = &mut inner.signals[id.0 as usize];
-    let passive = st.passive;
-    if !passive {
-        st.writes += 1;
-        st.stat.record(value.fix());
-        st.consumed.record(value.flt() - value.fix());
-        sink.assignments += 1;
-    }
+    st.writes += 1;
+    st.stat.record(value.fix());
+    st.consumed.record(value.flt() - value.fix());
+    sink.assignment();
 
+    // LSB+MSB: quantize the fixed path through the signal's type.
     let mut new_fix = value.fix();
     if let Some(dt) = &st.dtype {
         let q = quantize(value.fix(), dt);
-        if !passive {
-            sink.quant[id.0 as usize].push(q.rounding_error);
-        }
-        if q.overflowed && !passive {
+        sink.quant_error(id, &st.name, q.rounding_error);
+        if q.overflowed {
             st.overflows += 1;
-            match dt.overflow() {
-                OverflowMode::Saturate => sink.saturations += 1,
-                _ => sink.overflows += 1,
-            }
+            sink.overflow(dt.overflow());
             if dt.overflow() == OverflowMode::Error {
-                sink.events.push(Event::OverflowDetected {
-                    signal: st.name.clone(),
-                    value: value.fix(),
-                    cycle: inner.cycle,
-                });
+                sink.overflow_detected(&st.name, value.fix(), inner.cycle);
                 if inner.overflow_events.len() < inner.overflow_event_cap {
                     inner.overflow_events.push(OverflowEvent {
                         signal: id,
@@ -1883,6 +1674,8 @@ fn assign_replay(inner: &mut DesignInner, sink: &mut ReplaySink, id: SignalId, v
         new_fix = q.value;
     }
 
+    // Float path: either the true reference, or the explicit error
+    // model for divergent feedback signals.
     let new_flt = match st.error_override {
         Some(sigma) if sigma > 0.0 => {
             let half = sigma * 3f64.sqrt();
@@ -1891,21 +1684,22 @@ fn assign_replay(inner: &mut DesignInner, sink: &mut ReplaySink, id: SignalId, v
         Some(_) => new_fix,
         None => value.flt(),
     };
-    if !passive {
-        st.produced.record(new_flt - new_fix);
-        if new_fix != 0.0 && !st.non_dyadic {
-            match dyadic_lsb(new_fix) {
-                Some(l) => {
-                    st.granularity = Some(st.granularity.map_or(l, |g| g.min(l)));
-                }
-                None => {
-                    st.non_dyadic = true;
-                    st.granularity = None;
-                }
+    st.produced.record(new_flt - new_fix);
+
+    // Granularity: the finest LSB any assigned value actually used.
+    if new_fix != 0.0 && !st.non_dyadic {
+        match dyadic_lsb(new_fix) {
+            Some(l) => {
+                st.granularity = Some(st.granularity.map_or(l, |g| g.min(l)));
+            }
+            None => {
+                st.non_dyadic = true;
+                st.granularity = None;
             }
         }
     }
 
+    // Quasi-analytical range propagation (assignment rule: union).
     if st.range_override.is_none() {
         let mut incoming = value.interval();
         if let Some(dt) = &st.dtype {
@@ -1927,9 +1721,9 @@ fn assign_replay(inner: &mut DesignInner, sink: &mut ReplaySink, id: SignalId, v
     }
 }
 
-/// The [`Design::tick`] pipeline with the tick counter redirected into
-/// the [`ReplaySink`].
-fn tick_replay(inner: &mut DesignInner, sink: &mut ReplaySink) {
+/// The clock edge of [`Design::tick`] and compiled replay: every pending
+/// register assignment becomes visible and the cycle counter increments.
+fn clock_edge(inner: &mut DesignInner) {
     for st in &mut inner.signals {
         if let Some((flt, fix)) = st.next.take() {
             st.flt = flt;
@@ -1937,7 +1731,6 @@ fn tick_replay(inner: &mut DesignInner, sink: &mut ReplaySink) {
         }
     }
     inner.cycle += 1;
-    sink.ticks += 1;
 }
 
 /// Common interface of [`Sig`] and [`Reg`] handles.
@@ -2425,61 +2218,6 @@ mod incremental_tests {
     }
 
     #[test]
-    fn passive_signals_simulate_but_do_not_monitor() {
-        let d = Design::new();
-        let x = d.sig_typed("x", t(8, 4));
-        let y = d.sig("y");
-        d.set_passive(&[x.id()]);
-        x.set(0.7); // quantizes to 11/16 on the fixed path
-        y.set(x.get() * 2.0);
-        let xr = d.report_by_id(x.id());
-        assert_eq!(xr.writes, 0);
-        assert_eq!(xr.reads, 0);
-        assert_eq!(xr.stat.count(), 0);
-        // ... but the value itself flowed through quantization as usual,
-        // so the active downstream signal observed the quantized value.
-        let yr = d.report_by_id(y.id());
-        assert_eq!(yr.writes, 1);
-        assert_eq!(yr.stat.max(), 2.0 * 11.0 / 16.0);
-        d.clear_passive();
-        x.set(0.7);
-        assert_eq!(d.report_by_id(x.id()).writes, 1);
-    }
-
-    #[test]
-    fn passive_run_plus_splice_equals_full_run() {
-        let stimulus = |d: &Design| {
-            let x = d.sig_handle(d.find("x").unwrap());
-            let y = d.sig_handle(d.find("y").unwrap());
-            for i in 0..32 {
-                x.set((i as f64 * 0.37).sin());
-                y.set(x.get() * 0.5 + 0.125);
-                d.tick();
-            }
-        };
-        let build = || {
-            let d = Design::new();
-            d.sig_typed("x", t(8, 4));
-            d.sig("y");
-            d
-        };
-
-        let full = build();
-        stimulus(&full);
-        let cached = full.export_stats();
-
-        // Re-run with x passive, then splice its cached stats back.
-        let part = build();
-        part.set_passive(&[part.find("x").unwrap()]);
-        stimulus(&part);
-        part.clear_passive();
-        let spliced: Vec<SignalStats> = cached.iter().filter(|s| s.name == "x").cloned().collect();
-        part.splice_stats(&spliced).unwrap();
-
-        assert_eq!(part.export_stats(), cached);
-    }
-
-    #[test]
     fn splice_rejects_unknown_signals_without_side_effects() {
         let d = Design::new();
         let x = d.sig("x");
@@ -2510,7 +2248,7 @@ mod incremental_tests {
         x.set(100.0); // cycle 2
         let mut events = d.take_overflow_events();
         assert_eq!(events.len(), 2);
-        // Pretend the cycle-0 event came from a passive signal's cache.
+        // Pretend the cycle-0 event came from the cache.
         let early = events.remove(0);
         d.splice_overflow_events(vec![early]);
         d.splice_overflow_events(events);

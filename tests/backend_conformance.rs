@@ -1,11 +1,10 @@
 //! Differential conformance suite for the evaluation backends.
 //!
-//! The contract under test: selecting [`SimBackend::Compiled`] or
-//! [`SimBackend::Batched`] changes only wall-clock time — the refined
-//! types, per-signal statistics, overflow events, journal and counters
-//! are bit-identical to the interpreted backend (modulo the `backend.*`
-//! bookkeeping the backends themselves add, which this suite strips
-//! before comparing).
+//! The contract under test: selecting [`SimBackend::Compiled`] changes
+//! only wall-clock time — the refined types, per-signal statistics,
+//! overflow events, journal and counters are bit-identical to the
+//! interpreted backend (modulo the `backend.*` bookkeeping the compiled
+//! backend itself adds, which this suite strips before comparing).
 //!
 //! Coverage: direct capture→lower→verify→replay equality on all six
 //! example designs, plus flow-level comparisons for the LMS equalizer
@@ -426,18 +425,16 @@ fn lms_swept_backends_match_interpreted() {
         false,
         false,
     );
-    for backend in [SimBackend::Compiled, SimBackend::Batched] {
-        let other = run_swept(
-            lms_shard_builder(lms_config()),
-            &[],
-            &set,
-            workers,
-            backend,
-            false,
-            true,
-        );
-        assert_eq!(interpreted, other, "backend {backend:?}");
-    }
+    let compiled = run_swept(
+        lms_shard_builder(lms_config()),
+        &[],
+        &set,
+        workers,
+        SimBackend::Compiled,
+        false,
+        true,
+    );
+    assert_eq!(interpreted, compiled);
     assert!(!interpreted.types.is_empty(), "refinement decided types");
 }
 
@@ -454,16 +451,16 @@ fn lms_swept_batched_matches_interpreted_with_cache() {
         true,
         false,
     );
-    let batched = run_swept(
+    let compiled = run_swept(
         lms_shard_builder(lms_config()),
         &[],
         &set,
         workers,
-        SimBackend::Batched,
+        SimBackend::Compiled,
         true,
         true,
     );
-    assert_eq!(interpreted, batched);
+    assert_eq!(interpreted, compiled);
 }
 
 #[test]
@@ -480,16 +477,16 @@ fn timing_swept_batched_matches_interpreted() {
         false,
         false,
     );
-    let batched = run_swept(
+    let compiled = run_swept(
         timing_shard_builder(timing_config()),
         &saturate,
         &set,
         workers,
-        SimBackend::Batched,
+        SimBackend::Compiled,
         false,
         false,
     );
-    assert_eq!(interpreted, batched);
+    assert_eq!(interpreted, compiled);
 }
 
 #[test]
@@ -500,7 +497,7 @@ fn batched_sweep_is_invariant_under_shard_count() {
         &[],
         &set,
         1,
-        SimBackend::Batched,
+        SimBackend::Compiled,
         false,
         true,
     );
@@ -509,7 +506,7 @@ fn batched_sweep_is_invariant_under_shard_count() {
         &[],
         &set,
         shard_count_from_env(2),
-        SimBackend::Batched,
+        SimBackend::Compiled,
         false,
         true,
     );

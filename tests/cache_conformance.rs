@@ -1,17 +1,16 @@
 //! Differential conformance suite for the incremental evaluation cache.
 //!
 //! The contract under test: enabling the evaluation cache — monitor
-//! replay on clean iterations, dirty-cone partial re-simulation on
-//! designs with a declared static schedule — changes *nothing* about the
-//! refinement outcome. Decided types, the `type_applied` journal,
+//! replay on clean iterations — changes *nothing* about the refinement
+//! outcome. Decided types, the `type_applied` journal,
 //! iteration counts and the merged per-signal monitors must be bitwise
 //! identical with the cache on, off, and across the sweep's worker
 //! counts (the CI matrix sets `FIXREF_TEST_SHARDS` to 1, 2 and 8).
 //!
 //! Deliberately *outside* the fingerprint: recorder counters
-//! (`cache.hits`, and `sim.*` — passive signals skip their own monitor
-//! bookkeeping) and the cache's own journal events, which legitimately
-//! differ between cached and uncached runs.
+//! (`cache.hits`, and `sim.*` — replayed iterations skip the simulation
+//! that would count them) and the cache's own journal events, which
+//! legitimately differ between cached and uncached runs.
 
 use std::collections::BTreeSet;
 
