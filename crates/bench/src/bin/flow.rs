@@ -1,6 +1,6 @@
 //! Runs the full refinement flow (MSB + LSB + verification) on the paper
-//! equalizer and prints the flow's [`MetricsReport`]
-//! (`fixref_obs::MetricsReport`) — span timings, event counts, simulation
+//! equalizer and prints the flow's
+//! [`MetricsReport`](fixref_obs::MetricsReport) — span timings, event counts, simulation
 //! counters — named `flow`.
 //!
 //! With `--json`, prints the report as JSON and writes it to

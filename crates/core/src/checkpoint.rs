@@ -9,12 +9,13 @@
 //! are bit-identical to the uninterrupted run, modulo the leading
 //! `resumed_from_checkpoint` marker event.
 //!
-//! The format is hand-rolled JSON over the same zero-dependency
-//! [`fixref_obs::Json`] model the event journal uses. Signal identity is
-//! stored **by name**: a checkpoint is valid for any design built from
-//! the same description, and every name is re-resolved (and every
-//! embedded `SignalId` rebound) against the resuming design. What is
-//! *not* stored is the signal-flow graph — it is only consulted during
+//! The format is one JSON document, declared as field lists over the
+//! same [`fixref_obs::json`] traits the event journal uses; its version
+//! member is checked explicitly before anything else is decoded. Signal
+//! identity is stored **by name**: a checkpoint is valid for any design
+//! built from the same description, and every name is re-resolved (and
+//! every embedded `SignalId` rebound) against the resuming design. What
+//! is *not* stored is the signal-flow graph — it is only consulted during
 //! the first (recorded) MSB iteration, which by construction has already
 //! completed in any checkpointed run — and the shard-level recorders of a
 //! swept flow, whose re-merged events are deterministic replays of the
@@ -25,34 +26,36 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use fixref_fixed::{
-    DType, ErrorStats, Interval, OverflowMode, RangeStats, RoundingMode, Signedness,
-};
-use fixref_obs::json::{escape, fmt_f64};
-use fixref_obs::{Event, Json};
-use fixref_sim::{OverflowEvent, SignalAnnotation, SignalId, SignalStats};
+use fixref_obs::json::{self, FromJson, Json, JsonCodec, JsonError, ToJson};
+use fixref_obs::Event;
+use fixref_sim::spec::{unbound_id, IntervalCodec, TokenCodec};
+use fixref_sim::{OverflowEvent, SignalAnnotation, SignalStats};
 
 use crate::lsb::{LsbAnalysis, LsbStatus};
-use crate::msb::{MsbAnalysis, MsbDecision};
+use crate::msb::MsbAnalysis;
 
 /// Current checkpoint format version.
 const VERSION: u64 = 1;
 
-/// The next work item of an interrupted flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cursor {
-    /// Resume the MSB phase at iteration `next`.
-    Msb {
-        /// 1-based next MSB iteration.
-        next: usize,
-    },
-    /// Resume the LSB phase at iteration `next` (the MSB phase is done).
-    Lsb {
-        /// 1-based next LSB iteration.
-        next: usize,
-    },
-    /// Both phases are done: resume at type application + verification.
-    Apply,
+fixref_obs::json_enum! {
+    tag = "phase";
+
+    /// The next work item of an interrupted flow.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Cursor {
+        /// Resume the MSB phase at iteration `next`.
+        "msb" => Msb {
+            /// 1-based next MSB iteration.
+            next: usize,
+        },
+        /// Resume the LSB phase at iteration `next` (the MSB phase is done).
+        "lsb" => Lsb {
+            /// 1-based next LSB iteration.
+            next: usize,
+        },
+        /// Both phases are done: resume at type application + verification.
+        "apply" => Apply,
+    }
 }
 
 /// The checkpointed evaluation-cache state.
@@ -142,6 +145,12 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<JsonError> for CheckpointError {
+    fn from(e: JsonError) -> Self {
+        CheckpointError::Parse(e.to_string())
+    }
+}
 
 // ---------------------------------------------------------------------------
 // File store
@@ -274,235 +283,13 @@ impl CheckpointStore {
 }
 
 // ---------------------------------------------------------------------------
-// Writer
+// Wire form
 // ---------------------------------------------------------------------------
-
-fn cursor_json(c: Cursor) -> String {
-    match c {
-        Cursor::Msb { next } => format!("{{\"phase\":\"msb\",\"next\":{next}}}"),
-        Cursor::Lsb { next } => format!("{{\"phase\":\"lsb\",\"next\":{next}}}"),
-        Cursor::Apply => "{\"phase\":\"apply\"}".to_string(),
-    }
-}
-
-fn str_arr(items: &[String]) -> String {
-    let body: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
-    format!("[{}]", body.join(","))
-}
-
-fn itv_json(i: &Interval) -> String {
-    format!("[{},{}]", fmt_f64(i.lo), fmt_f64(i.hi))
-}
-
-fn opt_itv_json(o: &Option<Interval>) -> String {
-    o.as_ref().map(itv_json).unwrap_or_else(|| "null".into())
-}
-
-fn opt_i32_json(o: Option<i32>) -> String {
-    o.map(|v| v.to_string()).unwrap_or_else(|| "null".into())
-}
-
-fn opt_f64_json(o: Option<f64>) -> String {
-    o.map(fmt_f64).unwrap_or_else(|| "null".into())
-}
-
-fn opt_usize_json(o: Option<usize>) -> String {
-    o.map(|v| v.to_string()).unwrap_or_else(|| "null".into())
-}
-
-fn dtype_json(t: &DType) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"n\":{},\"f\":{},\"vt\":\"{}\",\"ovf\":\"{}\",\"rnd\":\"{}\"}}",
-        escape(t.name()),
-        t.n(),
-        t.f(),
-        t.signedness().token(),
-        t.overflow().token(),
-        t.rounding().token()
-    )
-}
-
-fn annotation_json(a: &SignalAnnotation) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"dtype\":{},\"range\":{},\"error_sigma\":{}}}",
-        escape(&a.name),
-        a.dtype
-            .as_ref()
-            .map(dtype_json)
-            .unwrap_or_else(|| "null".into()),
-        opt_itv_json(&a.range),
-        opt_f64_json(a.error_sigma),
-    )
-}
-
-fn decision_json(d: &MsbDecision) -> String {
-    match d {
-        MsbDecision::Agree { msb } => format!("{{\"kind\":\"agree\",\"msb\":{msb}}}"),
-        MsbDecision::Saturate { msb, guard, forced } => format!(
-            "{{\"kind\":\"saturate\",\"msb\":{msb},\"guard\":{},\"forced\":{forced}}}",
-            itv_json(guard)
-        ),
-        MsbDecision::Tradeoff {
-            stat_msb,
-            prop_msb,
-            chosen,
-            saturate,
-        } => format!(
-            "{{\"kind\":\"tradeoff\",\"stat_msb\":{stat_msb},\"prop_msb\":{prop_msb},\
-             \"chosen\":{chosen},\"saturate\":{saturate}}}"
-        ),
-        MsbDecision::Unresolved { reason } => {
-            format!(
-                "{{\"kind\":\"unresolved\",\"reason\":\"{}\"}}",
-                escape(reason)
-            )
-        }
-    }
-}
-
-fn msb_json(a: &MsbAnalysis) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"accesses\":{},\"stat\":{},\"stat_msb\":{},\"prop\":{},\
-         \"prop_msb\":{},\"exploded\":{},\"decision\":{},\"mode\":\"{}\",\"signedness\":\"{}\"}}",
-        escape(&a.name),
-        a.accesses,
-        opt_itv_json(&a.stat),
-        opt_i32_json(a.stat_msb),
-        opt_itv_json(&a.prop),
-        opt_i32_json(a.prop_msb),
-        a.exploded,
-        decision_json(&a.decision),
-        a.mode.token(),
-        a.signedness.token(),
-    )
-}
-
-fn lsb_status_token(s: &LsbStatus) -> &'static str {
-    match s {
-        LsbStatus::Resolved => "resolved",
-        LsbStatus::Exact => "exact",
-        LsbStatus::Diverged => "diverged",
-        LsbStatus::NoData => "no-data",
-    }
-}
-
-fn lsb_json(a: &LsbAnalysis) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"assigns\":{},\"max_abs\":{},\"mean\":{},\"std\":{},\"lsb\":{},\
-         \"status\":\"{}\",\"precision_loss\":{},\"floor_mean_shift\":{},\"rounding\":\"{}\"}}",
-        escape(&a.name),
-        a.assigns,
-        fmt_f64(a.max_abs),
-        fmt_f64(a.mean),
-        fmt_f64(a.std),
-        opt_i32_json(a.lsb),
-        lsb_status_token(&a.status),
-        a.precision_loss,
-        opt_f64_json(a.floor_mean_shift),
-        a.rounding.token(),
-    )
-}
-
-fn stats_json(s: &SignalStats) -> String {
-    let (min, max, count) = s.stat.to_raw();
-    let (cc, cm, cm2, cx) = s.consumed.to_raw();
-    let (pc, pm, pm2, px) = s.produced.to_raw();
-    format!(
-        "{{\"name\":\"{}\",\"stat\":[{},{},{count}],\"prop\":{},\
-         \"consumed\":[{cc},{},{},{}],\"produced\":[{pc},{},{},{}],\
-         \"overflows\":{},\"reads\":{},\"writes\":{},\"granularity\":{},\"non_dyadic\":{}}}",
-        escape(&s.name),
-        fmt_f64(min),
-        fmt_f64(max),
-        itv_json(&s.prop),
-        fmt_f64(cm),
-        fmt_f64(cm2),
-        fmt_f64(cx),
-        fmt_f64(pm),
-        fmt_f64(pm2),
-        fmt_f64(px),
-        s.overflows,
-        s.reads,
-        s.writes,
-        opt_i32_json(s.granularity),
-        s.non_dyadic,
-    )
-}
-
-fn overflow_json(e: &OverflowEvent) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"value\":{},\"cycle\":{}}}",
-        escape(&e.name),
-        fmt_f64(e.value),
-        e.cycle
-    )
-}
 
 impl Checkpoint {
     /// Serializes the checkpoint to its JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(8192);
-        out.push_str(&format!("{{\"version\":{VERSION}"));
-        out.push_str(&format!(",\"cursor\":{}", cursor_json(self.cursor)));
-        out.push_str(&format!(",\"msb_done\":{}", self.msb_done));
-        out.push_str(&format!(",\"lsb_done\":{}", self.lsb_done));
-        out.push_str(&format!(",\"next_sequence\":{}", self.next_sequence));
-        out.push_str(&format!(
-            ",\"msb_journal_start\":{}",
-            self.msb_journal_start
-        ));
-        out.push_str(&format!(
-            ",\"lsb_journal_start\":{}",
-            opt_usize_json(self.lsb_journal_start)
-        ));
-        let annotations: Vec<String> = self.annotations.iter().map(annotation_json).collect();
-        out.push_str(&format!(",\"annotations\":[{}]", annotations.join(",")));
-        out.push_str(&format!(
-            ",\"pinned_explosion\":{}",
-            str_arr(&self.pinned_explosion)
-        ));
-        out.push_str(&format!(
-            ",\"force_saturate\":{}",
-            str_arr(&self.force_saturate)
-        ));
-        out.push_str(&format!(",\"excluded\":{}", str_arr(&self.excluded)));
-        out.push_str(&format!(",\"feedback\":{}", str_arr(&self.feedback)));
-        out.push_str(&format!(",\"troubled\":{}", str_arr(&self.troubled)));
-        match &self.msb_final {
-            None => out.push_str(",\"msb_final\":null"),
-            Some(list) => {
-                let items: Vec<String> = list.iter().map(msb_json).collect();
-                out.push_str(&format!(",\"msb_final\":[{}]", items.join(",")));
-            }
-        }
-        match &self.lsb_final {
-            None => out.push_str(",\"lsb_final\":null"),
-            Some(list) => {
-                let items: Vec<String> = list.iter().map(lsb_json).collect();
-                out.push_str(&format!(",\"lsb_final\":[{}]", items.join(",")));
-            }
-        }
-        let data = match &self.cache.data {
-            None => "null".to_string(),
-            Some((stats, events, cycles)) => {
-                let stats: Vec<String> = stats.iter().map(stats_json).collect();
-                let events: Vec<String> = events.iter().map(overflow_json).collect();
-                format!(
-                    "{{\"stats\":[{}],\"overflow\":[{}],\"cycles\":{cycles}}}",
-                    stats.join(","),
-                    events.join(",")
-                )
-            }
-        };
-        out.push_str(&format!(
-            ",\"cache\":{{\"warm\":{},\"dirty\":{},\"data\":{data}}}",
-            self.cache.warm,
-            str_arr(&self.cache.dirty)
-        ));
-        let journal: Vec<String> = self.journal.iter().map(Event::to_json).collect();
-        out.push_str(&format!(",\"journal\":[{}]", journal.join(",")));
-        out.push('}');
-        out
+        json::encode(self)
     }
 
     /// Parses a checkpoint document produced by [`Checkpoint::to_json`].
@@ -512,392 +299,120 @@ impl Checkpoint {
     /// [`CheckpointError::Parse`] on malformed documents or unsupported
     /// versions.
     pub fn from_json(text: &str) -> Result<Checkpoint, CheckpointError> {
-        let v = Json::parse(text).map_err(|e| perr(e.to_string()))?;
-        let version = get_u64(&v, "version")?;
+        let v = Json::parse(text)?;
+        let version: u64 = json::member(&v, "version")?;
         if version != VERSION {
-            return Err(perr(format!("unsupported checkpoint version {version}")));
+            return Err(CheckpointError::Parse(format!(
+                "unsupported checkpoint version {version}"
+            )));
         }
-        let cursor = cursor_of(get(&v, "cursor")?)?;
-        let annotations = get_arr(&v, "annotations")?
-            .iter()
-            .map(annotation_of)
-            .collect::<Result<Vec<_>, _>>()?;
-        let msb_final = match opt_member(&v, "msb_final") {
-            None => None,
-            Some(j) => Some(
-                j.as_arr()
-                    .ok_or_else(|| perr("msb_final is not an array".to_string()))?
-                    .iter()
-                    .map(msb_of)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-        };
-        let lsb_final = match opt_member(&v, "lsb_final") {
-            None => None,
-            Some(j) => Some(
-                j.as_arr()
-                    .ok_or_else(|| perr("lsb_final is not an array".to_string()))?
-                    .iter()
-                    .map(lsb_of)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-        };
-        let cache_v = get(&v, "cache")?;
-        let data = match opt_member(cache_v, "data") {
-            None => None,
-            Some(d) => {
-                let stats = get_arr(d, "stats")?
-                    .iter()
-                    .map(stats_of)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let overflow = get_arr(d, "overflow")?
-                    .iter()
-                    .map(overflow_event_of)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Some((stats, overflow, get_u64(d, "cycles")?))
-            }
-        };
-        let cache = CacheState {
-            warm: get_bool(cache_v, "warm")?,
-            dirty: str_list(get(cache_v, "dirty")?)?,
-            data,
-        };
-        let journal = get_arr(&v, "journal")?
-            .iter()
-            .map(|j| Event::from_value(j).map_err(|e| perr(e.to_string())))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Checkpoint {
-            cursor,
-            msb_done: get_usize(&v, "msb_done")?,
-            lsb_done: get_usize(&v, "lsb_done")?,
-            next_sequence: get_usize(&v, "next_sequence")?,
-            msb_journal_start: get_usize(&v, "msb_journal_start")?,
-            lsb_journal_start: match opt_member(&v, "lsb_journal_start") {
-                None => None,
-                Some(j) => Some(
-                    j.as_u64()
-                        .map(|n| n as usize)
-                        .ok_or_else(|| perr("lsb_journal_start is not an integer".to_string()))?,
-                ),
-            },
-            annotations,
-            pinned_explosion: str_list(get(&v, "pinned_explosion")?)?,
-            force_saturate: str_list(get(&v, "force_saturate")?)?,
-            excluded: str_list(get(&v, "excluded")?)?,
-            feedback: str_list(get(&v, "feedback")?)?,
-            troubled: str_list(get(&v, "troubled")?)?,
-            msb_final,
-            lsb_final,
-            cache,
-            journal,
-        })
+        Ok(Checkpoint::from_json_value(&v)?)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Parser helpers
-// ---------------------------------------------------------------------------
-
-fn perr(msg: impl Into<String>) -> CheckpointError {
-    CheckpointError::Parse(msg.into())
-}
-
-fn get<'a>(v: &'a Json, key: &str) -> Result<&'a Json, CheckpointError> {
-    v.get(key)
-        .ok_or_else(|| perr(format!("missing member {key:?}")))
-}
-
-/// Member lookup treating an explicit `null` the same as absence.
-fn opt_member<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
-    match v.get(key) {
-        None | Some(Json::Null) => None,
-        Some(j) => Some(j),
+fixref_obs::json_struct! {
+    Checkpoint {
+        write "version" = |_| VERSION,
+        cursor,
+        msb_done,
+        lsb_done,
+        next_sequence,
+        msb_journal_start,
+        lsb_journal_start,
+        annotations,
+        pinned_explosion,
+        force_saturate,
+        excluded,
+        feedback,
+        troubled,
+        msb_final,
+        lsb_final,
+        cache,
+        journal,
     }
 }
 
-fn get_u64(v: &Json, key: &str) -> Result<u64, CheckpointError> {
-    get(v, key)?
-        .as_u64()
-        .ok_or_else(|| perr(format!("member {key:?} is not a non-negative integer")))
+fixref_obs::json_struct! {
+    CacheState { warm, dirty, data as CacheData }
 }
 
-fn get_usize(v: &Json, key: &str) -> Result<usize, CheckpointError> {
-    get_u64(v, key).map(|n| n as usize)
-}
+/// The warm cache's monitor snapshot, written as
+/// `{"stats","overflow","cycles"}`.
+struct CacheData;
 
-fn get_f64(v: &Json, key: &str) -> Result<f64, CheckpointError> {
-    get(v, key)?
-        .as_f64()
-        .ok_or_else(|| perr(format!("member {key:?} is not a number")))
-}
+impl JsonCodec<(Vec<SignalStats>, Vec<OverflowEvent>, u64)> for CacheData {
+    fn write(value: &(Vec<SignalStats>, Vec<OverflowEvent>, u64), out: &mut String) {
+        let (stats, overflow, cycles) = value;
+        json::write_object(
+            out,
+            &[("stats", stats), ("overflow", overflow), ("cycles", cycles)],
+        );
+    }
 
-fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, CheckpointError> {
-    get(v, key)?
-        .as_str()
-        .ok_or_else(|| perr(format!("member {key:?} is not a string")))
-}
-
-fn get_bool(v: &Json, key: &str) -> Result<bool, CheckpointError> {
-    match get(v, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(perr(format!("member {key:?} is not a boolean"))),
+    fn read(v: &Json) -> Result<(Vec<SignalStats>, Vec<OverflowEvent>, u64), JsonError> {
+        json::expect_object(v)?;
+        Ok((
+            json::member(v, "stats")?,
+            json::member(v, "overflow")?,
+            json::member(v, "cycles")?,
+        ))
     }
 }
 
-fn get_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], CheckpointError> {
-    get(v, key)?
-        .as_arr()
-        .ok_or_else(|| perr(format!("member {key:?} is not an array")))
-}
-
-fn i32_of(j: &Json, what: &str) -> Result<i32, CheckpointError> {
-    j.as_f64()
-        .filter(|n| n.fract() == 0.0 && (i32::MIN as f64..=i32::MAX as f64).contains(n))
-        .map(|n| n as i32)
-        .ok_or_else(|| perr(format!("{what} is not an integer")))
-}
-
-fn get_i32(v: &Json, key: &str) -> Result<i32, CheckpointError> {
-    i32_of(get(v, key)?, key)
-}
-
-fn opt_i32_of(v: &Json, key: &str) -> Result<Option<i32>, CheckpointError> {
-    opt_member(v, key).map(|j| i32_of(j, key)).transpose()
-}
-
-fn opt_f64_of(v: &Json, key: &str) -> Result<Option<f64>, CheckpointError> {
-    opt_member(v, key)
-        .map(|j| {
-            j.as_f64()
-                .ok_or_else(|| perr(format!("member {key:?} is not a number")))
-        })
-        .transpose()
-}
-
-fn str_list(j: &Json) -> Result<Vec<String>, CheckpointError> {
-    j.as_arr()
-        .ok_or_else(|| perr("expected a string array".to_string()))?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| perr("expected a string array".to_string()))
-        })
-        .collect()
-}
-
-/// `[lo, hi]` → [`Interval`]. Built as a raw pair (not via
-/// [`Interval::new`]) because the empty interval legitimately serializes
-/// as `["Infinity","-Infinity"]`.
-fn itv_of(j: &Json, what: &str) -> Result<Interval, CheckpointError> {
-    let arr = j
-        .as_arr()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| perr(format!("{what} is not a two-element array")))?;
-    let lo = arr[0]
-        .as_f64()
-        .ok_or_else(|| perr(format!("{what} bound is not a number")))?;
-    let hi = arr[1]
-        .as_f64()
-        .ok_or_else(|| perr(format!("{what} bound is not a number")))?;
-    Ok(Interval { lo, hi })
-}
-
-fn opt_itv_of(v: &Json, key: &str) -> Result<Option<Interval>, CheckpointError> {
-    opt_member(v, key).map(|j| itv_of(j, key)).transpose()
-}
-
-fn signedness_of(s: &str) -> Result<Signedness, CheckpointError> {
-    match s {
-        "tc" => Ok(Signedness::TwosComplement),
-        "ns" => Ok(Signedness::Unsigned),
-        _ => Err(perr(format!("unknown signedness token {s:?}"))),
+fixref_obs::json_struct! {
+    MsbAnalysis {
+        skip id = unbound_id(),
+        name,
+        accesses,
+        stat as IntervalCodec,
+        stat_msb,
+        prop as IntervalCodec,
+        prop_msb,
+        exploded,
+        decision,
+        mode as TokenCodec,
+        signedness as TokenCodec,
     }
 }
 
-fn overflow_of(s: &str) -> Result<OverflowMode, CheckpointError> {
-    match s {
-        "wp" => Ok(OverflowMode::Wrap),
-        "st" => Ok(OverflowMode::Saturate),
-        "er" => Ok(OverflowMode::Error),
-        _ => Err(perr(format!("unknown overflow token {s:?}"))),
+fixref_obs::json_struct! {
+    LsbAnalysis {
+        skip id = unbound_id(),
+        name,
+        assigns,
+        max_abs,
+        mean,
+        std,
+        lsb,
+        status,
+        precision_loss,
+        floor_mean_shift,
+        rounding as TokenCodec,
     }
 }
 
-fn rounding_of(s: &str) -> Result<RoundingMode, CheckpointError> {
-    match s {
-        "rd" => Ok(RoundingMode::Round),
-        "fl" => Ok(RoundingMode::Floor),
-        _ => Err(perr(format!("unknown rounding token {s:?}"))),
+impl ToJson for LsbStatus {
+    fn write_json(&self, out: &mut String) {
+        self.token().write_json(out);
     }
 }
 
-fn status_of(s: &str) -> Result<LsbStatus, CheckpointError> {
-    match s {
-        "resolved" => Ok(LsbStatus::Resolved),
-        "exact" => Ok(LsbStatus::Exact),
-        "diverged" => Ok(LsbStatus::Diverged),
-        "no-data" => Ok(LsbStatus::NoData),
-        _ => Err(perr(format!("unknown LSB status token {s:?}"))),
+impl FromJson for LsbStatus {
+    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
+        use LsbStatus::{Diverged, Exact, NoData, Resolved};
+        json::read_token(v, &[Resolved, Exact, Diverged, NoData], LsbStatus::token)
     }
-}
-
-fn cursor_of(j: &Json) -> Result<Cursor, CheckpointError> {
-    match get_str(j, "phase")? {
-        "msb" => Ok(Cursor::Msb {
-            next: get_usize(j, "next")?,
-        }),
-        "lsb" => Ok(Cursor::Lsb {
-            next: get_usize(j, "next")?,
-        }),
-        "apply" => Ok(Cursor::Apply),
-        other => Err(perr(format!("unknown cursor phase {other:?}"))),
-    }
-}
-
-fn dtype_of(j: &Json) -> Result<DType, CheckpointError> {
-    DType::new(
-        get_str(j, "name")?,
-        get_i32(j, "n")?,
-        get_i32(j, "f")?,
-        signedness_of(get_str(j, "vt")?)?,
-        overflow_of(get_str(j, "ovf")?)?,
-        rounding_of(get_str(j, "rnd")?)?,
-    )
-    .map_err(|e| perr(e.to_string()))
-}
-
-fn annotation_of(j: &Json) -> Result<SignalAnnotation, CheckpointError> {
-    Ok(SignalAnnotation {
-        name: get_str(j, "name")?.to_string(),
-        dtype: opt_member(j, "dtype").map(dtype_of).transpose()?,
-        range: opt_itv_of(j, "range")?,
-        error_sigma: opt_f64_of(j, "error_sigma")?,
-    })
-}
-
-fn decision_of(j: &Json) -> Result<MsbDecision, CheckpointError> {
-    match get_str(j, "kind")? {
-        "agree" => Ok(MsbDecision::Agree {
-            msb: get_i32(j, "msb")?,
-        }),
-        "saturate" => Ok(MsbDecision::Saturate {
-            msb: get_i32(j, "msb")?,
-            guard: itv_of(get(j, "guard")?, "guard")?,
-            forced: get_bool(j, "forced")?,
-        }),
-        "tradeoff" => Ok(MsbDecision::Tradeoff {
-            stat_msb: get_i32(j, "stat_msb")?,
-            prop_msb: get_i32(j, "prop_msb")?,
-            chosen: get_i32(j, "chosen")?,
-            saturate: get_bool(j, "saturate")?,
-        }),
-        "unresolved" => Ok(MsbDecision::Unresolved {
-            reason: get_str(j, "reason")?.to_string(),
-        }),
-        other => Err(perr(format!("unknown MSB decision kind {other:?}"))),
-    }
-}
-
-/// The placeholder id carried by deserialized analyses and overflow
-/// events until [`crate::RefinementFlow::resume_from`] rebinds them by
-/// name against the resuming design.
-fn unbound_id() -> SignalId {
-    SignalId::from_raw(u32::MAX)
-}
-
-fn msb_of(j: &Json) -> Result<MsbAnalysis, CheckpointError> {
-    Ok(MsbAnalysis {
-        id: unbound_id(),
-        name: get_str(j, "name")?.to_string(),
-        accesses: get_u64(j, "accesses")?,
-        stat: opt_itv_of(j, "stat")?,
-        stat_msb: opt_i32_of(j, "stat_msb")?,
-        prop: opt_itv_of(j, "prop")?,
-        prop_msb: opt_i32_of(j, "prop_msb")?,
-        exploded: get_bool(j, "exploded")?,
-        decision: decision_of(get(j, "decision")?)?,
-        mode: overflow_of(get_str(j, "mode")?)?,
-        signedness: signedness_of(get_str(j, "signedness")?)?,
-    })
-}
-
-fn lsb_of(j: &Json) -> Result<LsbAnalysis, CheckpointError> {
-    Ok(LsbAnalysis {
-        id: unbound_id(),
-        name: get_str(j, "name")?.to_string(),
-        assigns: get_u64(j, "assigns")?,
-        max_abs: get_f64(j, "max_abs")?,
-        mean: get_f64(j, "mean")?,
-        std: get_f64(j, "std")?,
-        lsb: opt_i32_of(j, "lsb")?,
-        status: status_of(get_str(j, "status")?)?,
-        precision_loss: get_bool(j, "precision_loss")?,
-        floor_mean_shift: opt_f64_of(j, "floor_mean_shift")?,
-        rounding: rounding_of(get_str(j, "rounding")?)?,
-    })
-}
-
-fn error_stats_of(j: &Json, what: &str) -> Result<ErrorStats, CheckpointError> {
-    let arr = j
-        .as_arr()
-        .filter(|a| a.len() == 4)
-        .ok_or_else(|| perr(format!("{what} is not a four-element array")))?;
-    let num = |i: usize| -> Result<f64, CheckpointError> {
-        arr[i]
-            .as_f64()
-            .ok_or_else(|| perr(format!("{what}[{i}] is not a number")))
-    };
-    let count = arr[0]
-        .as_u64()
-        .ok_or_else(|| perr(format!("{what}[0] is not a count")))?;
-    Ok(ErrorStats::from_raw(count, num(1)?, num(2)?, num(3)?))
-}
-
-fn stats_of(j: &Json) -> Result<SignalStats, CheckpointError> {
-    let stat = {
-        let arr = get(j, "stat")?
-            .as_arr()
-            .filter(|a| a.len() == 3)
-            .ok_or_else(|| perr("stat is not a three-element array".to_string()))?;
-        let min = arr[0]
-            .as_f64()
-            .ok_or_else(|| perr("stat[0] is not a number".to_string()))?;
-        let max = arr[1]
-            .as_f64()
-            .ok_or_else(|| perr("stat[1] is not a number".to_string()))?;
-        let count = arr[2]
-            .as_u64()
-            .ok_or_else(|| perr("stat[2] is not a count".to_string()))?;
-        RangeStats::from_raw(min, max, count)
-    };
-    Ok(SignalStats {
-        name: get_str(j, "name")?.to_string(),
-        stat,
-        prop: itv_of(get(j, "prop")?, "prop")?,
-        consumed: error_stats_of(get(j, "consumed")?, "consumed")?,
-        produced: error_stats_of(get(j, "produced")?, "produced")?,
-        overflows: get_u64(j, "overflows")?,
-        reads: get_u64(j, "reads")?,
-        writes: get_u64(j, "writes")?,
-        granularity: opt_i32_of(j, "granularity")?,
-        non_dyadic: get_bool(j, "non_dyadic")?,
-    })
-}
-
-fn overflow_event_of(j: &Json) -> Result<OverflowEvent, CheckpointError> {
-    Ok(OverflowEvent {
-        signal: unbound_id(),
-        name: get_str(j, "name")?.to_string(),
-        value: get_f64(j, "value")?,
-        cycle: get_u64(j, "cycle")?,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fixref_fixed::{
+        DType, ErrorStats, Interval, OverflowMode, RangeStats, RoundingMode, Signedness,
+    };
     use fixref_obs::Phase;
+
+    use crate::msb::MsbDecision;
 
     fn sample() -> Checkpoint {
         Checkpoint {
@@ -986,22 +501,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn json_round_trip_is_identity() {
-        let cp = sample();
-        let text = cp.to_json();
-        let back = Checkpoint::from_json(&text).expect("parses");
-        assert_eq!(back, cp);
-    }
-
-    #[test]
-    fn empty_and_unbounded_intervals_survive() {
-        let mut cp = sample();
-        cp.annotations[0].range = Some(Interval::EMPTY);
-        let back = Checkpoint::from_json(&cp.to_json()).expect("parses");
-        assert_eq!(back.annotations[0].range, Some(Interval::EMPTY));
     }
 
     #[test]

@@ -884,7 +884,8 @@ impl RefinementFlow {
     /// schedule or the tape fails its verification replay. The refined
     /// types, statistics and journal counters are bit-identical across
     /// backends. Swept entry points take their backend from their
-    /// [`SweepDriver`] (see [`crate::sweep::SweepDriver::set_backend`]).
+    /// [`SweepDriver`](crate::sweep::SweepDriver) (see
+    /// [`crate::sweep::SweepDriver::set_backend`]).
     pub fn set_backend(&mut self, backend: SimBackend) {
         self.backend = backend;
     }

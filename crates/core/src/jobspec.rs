@@ -12,9 +12,7 @@
 
 use std::time::Duration;
 
-use fixref_obs::json::escape;
-use fixref_obs::Json;
-use fixref_sim::spec::{scenario_set_from_value, scenario_set_to_json};
+use fixref_obs::json::JsonError;
 use fixref_sim::{DesignSpec, ScenarioSet, SpecError};
 
 use crate::flow::{RefinementFlow, RunBudget, SimBackend};
@@ -95,85 +93,27 @@ impl FlowSpec {
         Ok(())
     }
 
-    fn to_json(&self) -> String {
-        let max_sims = self
-            .max_simulations
-            .map_or("null".into(), |v| v.to_string());
-        let wall = self.wall_ms.map_or("null".into(), |v| v.to_string());
-        let saturate: Vec<String> = self
-            .force_saturate
-            .iter()
-            .map(|n| format!(r#""{}""#, escape(n)))
-            .collect();
-        format!(
-            r#"{{"backend":"{}","cache":{},"shards":{},"max_simulations":{},"wall_ms":{},"max_attempts":{},"force_saturate":[{}]}}"#,
-            escape(&self.backend),
-            self.cache,
-            self.shards,
-            max_sims,
-            wall,
-            self.max_attempts,
-            saturate.join(",")
-        )
+    /// The checks run after decoding: the backend name is validated
+    /// eagerly (a bad spec is rejected at admission, not mid-run) and
+    /// `max_attempts` is clamped to at least one.
+    fn validated(mut self) -> Result<Self, JsonError> {
+        self.sim_backend()
+            .map_err(|e| JsonError::decode(e.message).at("backend"))?;
+        self.max_attempts = self.max_attempts.max(1);
+        Ok(self)
     }
+}
 
-    fn from_value(v: &Json) -> Result<FlowSpec, SpecError> {
-        let defaults = FlowSpec::default();
-        let backend = match v.get("backend") {
-            None | Some(Json::Null) => defaults.backend,
-            Some(j) => j
-                .as_str()
-                .ok_or_else(|| SpecError::new("flow spec: \"backend\" is not a string"))?
-                .to_string(),
-        };
-        let cache = match v.get("cache") {
-            None | Some(Json::Null) => defaults.cache,
-            Some(j) => j
-                .as_bool()
-                .ok_or_else(|| SpecError::new("flow spec: \"cache\" is not a boolean"))?,
-        };
-        let uint = |name: &str, default: u64| -> Result<u64, SpecError> {
-            match v.get(name) {
-                None | Some(Json::Null) => Ok(default),
-                Some(j) => j
-                    .as_u64()
-                    .ok_or_else(|| SpecError::new(format!("flow spec: {name:?} is not a number"))),
-            }
-        };
-        let opt_uint = |name: &str| -> Result<Option<u64>, SpecError> {
-            match v.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(j) => j
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| SpecError::new(format!("flow spec: {name:?} is not a number"))),
-            }
-        };
-        let force_saturate = match v.get("force_saturate") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(j) => j
-                .as_arr()
-                .ok_or_else(|| SpecError::new("flow spec: \"force_saturate\" is not an array"))?
-                .iter()
-                .map(|n| {
-                    n.as_str().map(str::to_string).ok_or_else(|| {
-                        SpecError::new("flow spec: \"force_saturate\" entries must be strings")
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let spec = FlowSpec {
-            backend,
-            cache,
-            shards: uint("shards", defaults.shards as u64)? as usize,
-            max_simulations: opt_uint("max_simulations")?,
-            wall_ms: opt_uint("wall_ms")?,
-            max_attempts: uint("max_attempts", defaults.max_attempts as u64)?.max(1) as usize,
-            force_saturate,
-        };
-        spec.sim_backend()?; // validate eagerly: reject at admission, not mid-run
-        Ok(spec)
-    }
+fixref_obs::json_struct! {
+    FlowSpec {
+        backend = FlowSpec::default().backend,
+        cache = false,
+        shards = 0,
+        max_simulations,
+        wall_ms,
+        max_attempts = 1,
+        force_saturate = Vec::new(),
+    } then FlowSpec::validated
 }
 
 /// One refinement job, in serializable form.
@@ -208,64 +148,22 @@ impl JobSpec {
         self
     }
 
-    /// Serializes the job as one JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"tenant":"{}","design":{},"scenarios":{},"flow":{}}}"#,
-            escape(&self.tenant),
-            self.design.to_json(),
-            scenario_set_to_json(&self.scenarios),
-            self.flow.to_json()
-        )
-    }
-
-    /// Decodes a job from an already-parsed JSON value.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError`] naming the missing or mistyped member. Backend
-    /// names are validated here so a bad spec is rejected at admission.
-    pub fn from_value(v: &Json) -> Result<JobSpec, SpecError> {
-        let tenant = v
-            .get("tenant")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SpecError::new("job spec: missing or mistyped \"tenant\""))?
-            .to_string();
-        if tenant.is_empty() {
-            return Err(SpecError::new("job spec: \"tenant\" must be non-empty"));
+    /// The checks run after decoding: a job names its tenant and
+    /// sweeps at least one scenario.
+    fn validated(self) -> Result<Self, JsonError> {
+        if self.tenant.is_empty() {
+            return Err(JsonError::decode("must be non-empty").at("tenant"));
         }
-        let design = DesignSpec::from_value(
-            v.get("design")
-                .ok_or_else(|| SpecError::new("job spec: missing \"design\""))?,
-        )?;
-        let scenarios = scenario_set_from_value(
-            v.get("scenarios")
-                .ok_or_else(|| SpecError::new("job spec: missing \"scenarios\""))?,
-        )?;
-        if scenarios.is_empty() {
-            return Err(SpecError::new("job spec: \"scenarios\" must be non-empty"));
+        if self.scenarios.is_empty() {
+            return Err(JsonError::decode("must be non-empty").at("scenarios"));
         }
-        let flow = match v.get("flow") {
-            None | Some(Json::Null) => FlowSpec::default(),
-            Some(j) => FlowSpec::from_value(j)?,
-        };
-        Ok(JobSpec {
-            tenant,
-            design,
-            scenarios,
-            flow,
-        })
+        Ok(self)
     }
+}
 
-    /// Decodes a job from its JSON text form.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError`] on malformed JSON or missing members.
-    pub fn from_json(text: &str) -> Result<JobSpec, SpecError> {
-        let v = Json::parse(text).map_err(|e| SpecError::new(format!("job spec: {e}")))?;
-        JobSpec::from_value(&v)
-    }
+fixref_obs::json_struct! {
+    JobSpec: SpecError { tenant, design, scenarios, flow = FlowSpec::default() }
+    then JobSpec::validated
 }
 
 #[cfg(test)]
@@ -289,23 +187,6 @@ mod tests {
             max_attempts: 3,
             force_saturate: vec!["terr".into(), "lp".into()],
         })
-    }
-
-    #[test]
-    fn job_specs_round_trip() {
-        let spec = sample();
-        let back = JobSpec::from_json(&spec.to_json()).expect("parses");
-        assert_eq!(back, spec);
-
-        // Defaults kick in for an absent flow object.
-        let bare = JobSpec::new(
-            "t",
-            DesignSpec::new("timing"),
-            ScenarioSet::single(7, 20.0, 100),
-        );
-        let back = JobSpec::from_json(&bare.to_json()).expect("parses");
-        assert_eq!(back, bare);
-        assert_eq!(back.flow, FlowSpec::default());
     }
 
     #[test]
@@ -356,5 +237,14 @@ mod tests {
             "flow":{"max_attempts":0}}"#;
         let spec = JobSpec::from_json(text).expect("parses");
         assert_eq!(spec.flow.max_attempts, 1);
+    }
+
+    #[test]
+    fn an_absent_flow_takes_the_defaults() {
+        let text = r#"{"tenant":"t","design":{"kind":"timing"},
+            "scenarios":[{"seed":7,"snr_db":20,"channel_taps":[],"samples":100}]}"#;
+        let spec = JobSpec::from_json(text).expect("parses");
+        assert_eq!(spec.flow, FlowSpec::default());
+        assert_eq!(spec.scenarios, ScenarioSet::single(7, 20.0, 100));
     }
 }

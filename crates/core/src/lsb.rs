@@ -39,15 +39,22 @@ pub enum LsbStatus {
     NoData,
 }
 
-impl fmt::Display for LsbStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl LsbStatus {
+    /// The lowercase token (`"resolved"`, `"no-data"`, …) used in tables
+    /// and checkpoints.
+    pub(crate) fn token(&self) -> &'static str {
+        match self {
             LsbStatus::Resolved => "resolved",
             LsbStatus::Exact => "exact",
             LsbStatus::Diverged => "diverged",
             LsbStatus::NoData => "no-data",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for LsbStatus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.token())
     }
 }
 

@@ -21,46 +21,51 @@
 use std::fmt;
 
 use fixref_fixed::{msb_for_range, Interval, OverflowMode, Signedness};
+use fixref_sim::spec::IntervalCodec;
 use fixref_sim::{SignalId, SignalReport};
 
 use crate::policy::RefinePolicy;
 
-/// The outcome of applying the MSB rules to one signal.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MsbDecision {
-    /// Rule (a): statistic and propagation agree — non-saturated mode.
-    Agree {
-        /// The agreed MSB position.
-        msb: i32,
-    },
-    /// Rule (b): propagation pessimistic or exploded — saturate.
-    Saturate {
-        /// The decided MSB (statistic MSB plus the policy margin).
-        msb: i32,
-        /// The range the saturation hardware must absorb: the propagated
-        /// range when finite, otherwise the widened statistic range.
-        guard: Interval,
-        /// True when forced by a genuine range explosion (feedback),
-        /// false when propagation was merely pessimistic.
-        forced: bool,
-    },
-    /// Rule (c): small gap — trade-off resolved per policy.
-    Tradeoff {
-        /// MSB from the statistic range.
-        stat_msb: i32,
-        /// MSB from the propagated range.
-        prop_msb: i32,
-        /// The decided MSB.
-        chosen: i32,
-        /// Whether the decision uses saturation (statistic side chosen).
-        saturate: bool,
-    },
-    /// The signal carried no usable range information (never assigned, or
-    /// only zeros with an empty propagated range).
-    Unresolved {
-        /// Why no decision could be made.
-        reason: String,
-    },
+fixref_obs::json_enum! {
+    tag = "kind";
+
+    /// The outcome of applying the MSB rules to one signal.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum MsbDecision {
+        /// Rule (a): statistic and propagation agree — non-saturated mode.
+        "agree" => Agree {
+            /// The agreed MSB position.
+            msb: i32,
+        },
+        /// Rule (b): propagation pessimistic or exploded — saturate.
+        "saturate" => Saturate {
+            /// The decided MSB (statistic MSB plus the policy margin).
+            msb: i32,
+            /// The range the saturation hardware must absorb: the propagated
+            /// range when finite, otherwise the widened statistic range.
+            guard: Interval as IntervalCodec,
+            /// True when forced by a genuine range explosion (feedback),
+            /// false when propagation was merely pessimistic.
+            forced: bool,
+        },
+        /// Rule (c): small gap — trade-off resolved per policy.
+        "tradeoff" => Tradeoff {
+            /// MSB from the statistic range.
+            stat_msb: i32,
+            /// MSB from the propagated range.
+            prop_msb: i32,
+            /// The decided MSB.
+            chosen: i32,
+            /// Whether the decision uses saturation (statistic side chosen).
+            saturate: bool,
+        },
+        /// The signal carried no usable range information (never assigned, or
+        /// only zeros with an empty propagated range).
+        "unresolved" => Unresolved {
+            /// Why no decision could be made.
+            reason: String,
+        },
+    }
 }
 
 impl MsbDecision {

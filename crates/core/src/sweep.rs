@@ -1,6 +1,6 @@
 //! The scenario-sweep simulation driver.
 //!
-//! [`SweepDriver`] implements [`SimDriver`](crate::flow::SimDriver) by
+//! [`SweepDriver`] implements [`SimDriver`] by
 //! fanning each refinement-iteration simulation out over a
 //! [`ScenarioSet`]: every scenario gets a **freshly built, private**
 //! [`Design`] on a worker thread (designs are deliberately not `Send`, so
@@ -146,7 +146,7 @@ impl SweepCache {
     }
 }
 
-/// A [`SimDriver`](crate::flow::SimDriver) that runs every simulation as
+/// A [`SimDriver`] that runs every simulation as
 /// a parallel scenario sweep. See the module docs for the determinism
 /// contract; see [`RefinementFlow::run_swept`](crate::RefinementFlow::run_swept)
 /// for the typical entry point.

@@ -7,7 +7,7 @@
 //! queried in-process (replacing ad-hoc bookkeeping vectors) and exported
 //! as JSON Lines for external tooling.
 
-use crate::json::{escape, fmt_f64, Json, JsonError};
+use crate::json::{self, FromJson, Json, JsonError, ToJson};
 use std::fmt;
 
 /// Which refinement phase an event belongs to.
@@ -27,14 +27,6 @@ impl Phase {
             Phase::Lsb => "lsb",
         }
     }
-
-    fn parse(s: &str) -> Option<Phase> {
-        match s {
-            "msb" => Some(Phase::Msb),
-            "lsb" => Some(Phase::Lsb),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Phase {
@@ -43,945 +35,400 @@ impl fmt::Display for Phase {
     }
 }
 
-/// One structured occurrence in the instrumented flow.
-///
-/// The taxonomy follows the refinement loop of paper Fig. 4: simulation
-/// monitors raise [`Event::OverflowDetected`]; per-iteration analysis
-/// raises [`Event::IntervalExploded`] and [`Event::SignalResolved`];
-/// automatic interventions raise [`Event::AutoRange`] /
-/// [`Event::AutoError`]; phase ends raise [`Event::PhaseConverged`] or
-/// [`Event::PhaseFailed`]; type application raises [`Event::TypeApplied`];
-/// the final check raises [`Event::VerifyCompleted`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// A value did not fit a signal's type during simulation.
-    OverflowDetected {
-        /// The overflowing signal.
-        signal: String,
-        /// The unquantized value that did not fit.
-        value: f64,
-        /// The clock cycle at which it happened.
-        cycle: u64,
-    },
-    /// One refinement iteration began (spans carry its timing; this event
-    /// anchors the journal's ordering).
-    IterationStarted {
-        /// The phase iterating.
-        phase: Phase,
-        /// 1-based iteration number.
-        iteration: usize,
-    },
-    /// A signal's propagated range exploded (unbounded or past the
-    /// explosion threshold) in an MSB iteration.
-    IntervalExploded {
-        /// The exploded signal.
-        signal: String,
-        /// 1-based iteration in which the explosion was observed.
-        iteration: usize,
-    },
-    /// The flow pinned `range(lo, hi)` on a feedback signal — the
-    /// automatic equivalent of the paper's manual `b.range(-0.2, 0.2)`.
-    AutoRange {
-        /// The annotated signal.
-        signal: String,
-        /// Lower pinned bound.
-        lo: f64,
-        /// Upper pinned bound.
-        hi: f64,
-        /// 1-based MSB iteration that inserted it.
-        iteration: usize,
-    },
-    /// The flow injected `error(σ)` on an LSB-divergent feedback signal.
-    AutoError {
-        /// The annotated signal.
-        signal: String,
-        /// Injected error standard deviation.
-        sigma: f64,
-        /// 1-based LSB iteration that inserted it.
-        iteration: usize,
-    },
-    /// A signal that was exploded (MSB) or divergent (LSB) in an earlier
-    /// iteration is now resolved.
-    SignalResolved {
-        /// The resolved signal.
-        signal: String,
-        /// The phase it resolved in.
-        phase: Phase,
-        /// 1-based iteration in which it resolved.
-        iteration: usize,
-    },
-    /// A phase finished with every refinable signal resolved.
-    PhaseConverged {
-        /// The converged phase.
-        phase: Phase,
-        /// Iterations it took.
-        iterations: usize,
-    },
-    /// A phase exhausted its iteration budget.
-    PhaseFailed {
-        /// The failed phase.
-        phase: Phase,
-        /// Iterations spent.
-        iterations: usize,
-        /// Comma-joined names of the signals still unresolved.
-        unresolved: String,
-    },
-    /// A decided type was applied to a signal.
-    TypeApplied {
-        /// The typed signal.
-        signal: String,
-        /// The decided type, in `<n,f,…>` display form.
-        dtype: String,
-    },
-    /// The final verification run completed.
-    VerifyCompleted {
-        /// Overflows on wrap/error-mode types (failures).
-        overflows: u64,
-        /// Excursions absorbed by saturating types (informational).
-        saturation_events: u64,
-    },
-    /// A scenario shard of a parallel sweep began merging into the master
-    /// journal. Shard journals are concatenated in shard (scenario) order,
-    /// bracketed by this event and [`Event::ShardMerged`].
-    ShardStarted {
-        /// 0-based scenario index of the shard.
-        shard: usize,
-        /// Stimulus seed the shard simulated with.
-        seed: u64,
-        /// Stimulus SNR of the shard (dB).
-        snr_db: f64,
-        /// Samples the shard simulated.
-        samples: usize,
-    },
-    /// A scenario shard's statistics finished merging into the master
-    /// design.
-    ShardMerged {
-        /// 0-based scenario index of the shard.
-        shard: usize,
-        /// Simulation cycles the shard ran.
-        cycles: u64,
-        /// Signals whose monitors were merged.
-        signals: usize,
-    },
-    /// An incremental evaluation cache was invalidated: annotation
-    /// changes dirtied part (or all) of the design, so the next run
-    /// cannot be replayed wholesale from cached monitors.
-    CacheInvalidated {
-        /// What invalidated the cache (e.g. `"annotations"`,
-        /// `"error_sigma"`).
-        reason: String,
-        /// Number of signals marked dirty by the invalidation.
-        dirty: usize,
-    },
-    /// A zero-spanning division's unbounded quotient was clamped to the
-    /// dividend's declared type bound during analytical range
-    /// propagation, instead of silently poisoning downstream ranges.
-    RangeClamped {
-        /// The signal whose defining division was clamped.
-        signal: String,
-        /// Lower clamped bound.
-        lo: f64,
-        /// Upper clamped bound.
-        hi: f64,
-    },
-    /// A signal's analytical range was widened to unbounded after
-    /// exceeding the growth-pass budget on a feedback path — the "MSB
-    /// explosion" the paper warns about, journaled instead of silently
-    /// railing to `Interval::UNBOUNDED`.
-    RangeExploded {
-        /// The signal whose range exploded.
-        signal: String,
-        /// Growing passes observed before the analysis gave up.
-        passes: usize,
-    },
-    /// One static-lint finding (pre-flight diagnostics over the recorded
-    /// signal-flow graph).
-    LintDiagnostic {
-        /// The stable diagnostic code (`"FXL001"`, …).
-        code: String,
-        /// Severity wire form (`"info"` / `"warning"` / `"error"`).
-        severity: String,
-        /// The signal the finding is anchored to.
-        signal: String,
-        /// Human-readable explanation.
-        message: String,
-    },
-    /// A lint run over the design finished.
-    LintCompleted {
-        /// Error-severity findings.
-        errors: usize,
-        /// Warning-severity findings.
-        warnings: usize,
-        /// Info-severity findings.
-        infos: usize,
-    },
-    /// A lint-backed gate rejected something: the pre-flight flow gate
-    /// hit a denied code.
-    LintGateFailed {
-        /// Which gate failed (`"flow.preflight"`).
-        context: String,
-        /// The diagnostic code that triggered the failure.
-        code: String,
-        /// Number of findings with that code.
-        findings: usize,
-    },
-    /// A formal verification run (bounded model check of one lint
-    /// finding) started.
-    VerifyStarted {
-        /// Diagnostic code under check (`"FXL002"`, …).
-        code: String,
-        /// Anchor signal of the property being checked.
-        signal: String,
-        /// Number of state-holding registers in the extracted model.
-        registers: usize,
-    },
-    /// The checker proved the property: the reachable state space closed
-    /// with no bad state, discharging the diagnostic.
-    VerifyProved {
-        /// Diagnostic code discharged.
-        code: String,
-        /// Anchor signal of the property.
-        signal: String,
-        /// Distinct states in the closed reachable set.
-        states: usize,
-        /// Exploration depth (ticks) at closure.
-        depth: usize,
-    },
-    /// The checker found a concrete input sequence driving the design
-    /// into the hazard the diagnostic warned about.
-    VerifyCounterexample {
-        /// Diagnostic code refuted.
-        code: String,
-        /// Anchor signal of the property.
-        signal: String,
-        /// Length of the witness stimulus in ticks.
-        steps: usize,
-    },
-    /// The checker gave up without a verdict: state space or input
-    /// alphabet exceeded its bounds, or the model was not finite-state.
-    VerifyBoundExhausted {
-        /// Diagnostic code left undecided.
-        code: String,
-        /// Anchor signal of the property.
-        signal: String,
-        /// Why the check was inconclusive (`"state_too_large"`, …).
-        reason: String,
-        /// States explored before giving up.
-        states: usize,
-    },
-    /// A scenario shard failed — panicked or lost its result — after
-    /// every permitted attempt. Under a `Strict` fault policy the sweep
-    /// aborts here; under `Degraded` the surviving shards are merged and
-    /// coverage drops.
-    ShardFailed {
-        /// 0-based scenario index of the failed shard.
-        shard: usize,
-        /// The scenario label (`Scenario::label`).
-        scenario: String,
-        /// Attempts made before giving up.
-        attempts: usize,
-        /// The captured panic message or failure cause.
-        cause: String,
-    },
-    /// A failed shard attempt was retried with the same scenario (same
-    /// seed, so a retry that succeeds is bit-identical to a fault-free
-    /// run).
-    ShardRetried {
-        /// 0-based scenario index of the retried shard.
-        shard: usize,
-        /// 0-based attempt number being started (1 = first retry).
-        attempt: usize,
-    },
-    /// A scenario that exhausted its retry budget was quarantined: the
-    /// sweep stops re-simulating it and reports reduced coverage instead.
-    ShardQuarantined {
-        /// 0-based scenario index of the quarantined shard.
-        shard: usize,
-        /// The scenario label (`Scenario::label`).
-        scenario: String,
-    },
-    /// Flow state was checkpointed to the journal-backed checkpoint file.
-    CheckpointWritten {
-        /// 0-based checkpoint sequence number (monotonic per flow).
-        sequence: usize,
-        /// The phase whose iteration just completed.
-        phase: Phase,
-        /// The 1-based iteration just completed.
-        iteration: usize,
-    },
-    /// A checkpoint write failed (I/O error or injected fault). The flow
-    /// continues; the previous checkpoint on disk stays authoritative.
-    CheckpointFailed {
-        /// Sequence number of the failed write.
-        sequence: usize,
-        /// The failure cause.
-        cause: String,
-    },
-    /// A flow was reconstructed from a checkpoint file; the restored
-    /// journal follows this event.
-    ResumedFromCheckpoint {
-        /// Sequence number of the checkpoint resumed from.
-        sequence: usize,
-        /// The phase the flow will resume in.
-        phase: Phase,
-        /// The 1-based iteration the flow will resume at.
-        iteration: usize,
-        /// Number of journal events restored from the checkpoint.
-        events: usize,
-    },
-    /// A wall-clock or simulation-count budget ran out; the flow returns
-    /// its best-so-far annotations marked `Partial` instead of erroring.
-    BudgetExhausted {
-        /// The phase that was running when the budget ran out.
-        phase: Phase,
-        /// Simulations completed so far across the run.
-        simulations: u64,
-        /// Which budget ran out and where (human-readable).
-        reason: String,
-    },
-    /// A design's captured execution trace was lowered to a straight-line
-    /// bytecode program, enabling compiled re-simulation.
-    BackendCompiled {
-        /// The backend that compiled (`"compiled"`).
-        backend: String,
-        /// Deduplicated cycle kinds in the program.
-        kinds: usize,
-        /// Total bytecode instructions across all kinds.
-        instructions: usize,
-        /// Scheduled simulation cycles per replay.
-        cycles: u64,
-    },
-    /// A compiled backend request fell back to the interpreted
-    /// simulator — the static-schedule lint refused the design, lowering
-    /// failed, or the run mode (armed fault plan, checkpoint resume) is
-    /// only supported interpreted. The run proceeds with identical
-    /// results, just without the speedup.
-    BackendFallback {
-        /// The backend that was requested (`"compiled"`).
-        backend: String,
-        /// Why the fallback happened (e.g. `"FXL001"`).
-        reason: String,
-    },
-    /// The job server admitted a submitted job into its bounded queue
-    /// and journaled it to the write-ahead jobs log.
-    JobAccepted {
-        /// The server-assigned job id (stable across restarts).
-        job: String,
-        /// The submitting tenant.
-        tenant: String,
-        /// Queue depth *after* admission.
-        queue_depth: usize,
-    },
-    /// Admission control refused a submitted job (full queue, oversized
-    /// spec, unknown design kind). The job is never enqueued or journaled
-    /// as accepted; the submitter gets the reason back.
-    JobRejected {
-        /// The submitting tenant.
-        tenant: String,
-        /// Why admission refused the job (`"queue full (cap 64)"`, …).
-        reason: String,
-    },
-    /// A worker picked a queued job and began (or resumed) its flow.
-    JobStarted {
-        /// The job id.
-        job: String,
-        /// The submitting tenant.
-        tenant: String,
-        /// 1-based attempt number (1 = first execution).
-        attempt: usize,
-    },
-    /// A failed job was rescheduled after its deterministic backoff.
-    JobRetried {
-        /// The job id.
-        job: String,
-        /// 1-based attempt number being scheduled next.
-        attempt: usize,
-        /// The jittered backoff delay that preceded the retry, in ms.
-        backoff_ms: u64,
-    },
-    /// A restarted server found the job accepted-but-unfinished in the
-    /// write-ahead log and requeued it, resuming from its last
-    /// checkpoint when one exists.
-    JobRecovered {
-        /// The job id.
-        job: String,
-        /// The submitting tenant.
-        tenant: String,
-        /// Whether a usable checkpoint file was found to resume from
-        /// (`false` means the job restarts from scratch — still
-        /// bit-identical, just without the saved progress).
-        from_checkpoint: bool,
-    },
-    /// A job reached a terminal state: `"complete"`, `"partial"` (budget
-    /// exhausted or cancelled) or `"failed"` (error after all retries).
-    JobCompleted {
-        /// The job id.
-        job: String,
-        /// Terminal status wire tag.
-        status: String,
-        /// Total execution attempts consumed.
-        attempts: usize,
-    },
+impl ToJson for Phase {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
 }
 
-impl Event {
-    /// The event's wire tag (the JSON `"event"` member).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::OverflowDetected { .. } => "overflow_detected",
-            Event::IterationStarted { .. } => "iteration_started",
-            Event::IntervalExploded { .. } => "interval_exploded",
-            Event::AutoRange { .. } => "auto_range",
-            Event::AutoError { .. } => "auto_error",
-            Event::SignalResolved { .. } => "signal_resolved",
-            Event::PhaseConverged { .. } => "phase_converged",
-            Event::PhaseFailed { .. } => "phase_failed",
-            Event::TypeApplied { .. } => "type_applied",
-            Event::VerifyCompleted { .. } => "verify_completed",
-            Event::ShardStarted { .. } => "shard_started",
-            Event::ShardMerged { .. } => "shard_merged",
-            Event::CacheInvalidated { .. } => "cache_invalidated",
-            Event::RangeClamped { .. } => "range_clamped",
-            Event::RangeExploded { .. } => "range_exploded",
-            Event::LintDiagnostic { .. } => "lint_diagnostic",
-            Event::LintCompleted { .. } => "lint_completed",
-            Event::LintGateFailed { .. } => "lint_gate_failed",
-            Event::VerifyStarted { .. } => "verify_started",
-            Event::VerifyProved { .. } => "verify_proved",
-            Event::VerifyCounterexample { .. } => "verify_counterexample",
-            Event::VerifyBoundExhausted { .. } => "verify_bound_exhausted",
-            Event::ShardFailed { .. } => "shard_failed",
-            Event::ShardRetried { .. } => "shard_retried",
-            Event::ShardQuarantined { .. } => "shard_quarantined",
-            Event::CheckpointWritten { .. } => "checkpoint_written",
-            Event::CheckpointFailed { .. } => "checkpoint_failed",
-            Event::ResumedFromCheckpoint { .. } => "resumed_from_checkpoint",
-            Event::BudgetExhausted { .. } => "budget_exhausted",
-            Event::BackendCompiled { .. } => "backend_compiled",
-            Event::BackendFallback { .. } => "backend_fallback",
-            Event::JobAccepted { .. } => "job_accepted",
-            Event::JobRejected { .. } => "job_rejected",
-            Event::JobStarted { .. } => "job_started",
-            Event::JobRetried { .. } => "job_retried",
-            Event::JobRecovered { .. } => "job_recovered",
-            Event::JobCompleted { .. } => "job_completed",
-        }
+impl FromJson for Phase {
+    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
+        json::read_token(v, &[Phase::Msb, Phase::Lsb], |p| p.as_str())
     }
+}
 
-    /// Serializes the event as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let kind = self.kind();
-        match self {
-            Event::OverflowDetected {
-                signal,
-                value,
-                cycle,
-            } => format!(
-                r#"{{"event":"{kind}","signal":"{}","value":{},"cycle":{cycle}}}"#,
-                escape(signal),
-                fmt_f64(*value)
-            ),
-            Event::IterationStarted { phase, iteration } => {
-                format!(r#"{{"event":"{kind}","phase":"{phase}","iteration":{iteration}}}"#)
-            }
-            Event::IntervalExploded { signal, iteration } => format!(
-                r#"{{"event":"{kind}","signal":"{}","iteration":{iteration}}}"#,
-                escape(signal)
-            ),
-            Event::AutoRange {
-                signal,
-                lo,
-                hi,
-                iteration,
-            } => format!(
-                r#"{{"event":"{kind}","signal":"{}","lo":{},"hi":{},"iteration":{iteration}}}"#,
-                escape(signal),
-                fmt_f64(*lo),
-                fmt_f64(*hi)
-            ),
-            Event::AutoError {
-                signal,
-                sigma,
-                iteration,
-            } => format!(
-                r#"{{"event":"{kind}","signal":"{}","sigma":{},"iteration":{iteration}}}"#,
-                escape(signal),
-                fmt_f64(*sigma)
-            ),
-            Event::SignalResolved {
-                signal,
-                phase,
-                iteration,
-            } => format!(
-                r#"{{"event":"{kind}","signal":"{}","phase":"{phase}","iteration":{iteration}}}"#,
-                escape(signal)
-            ),
-            Event::PhaseConverged { phase, iterations } => {
-                format!(r#"{{"event":"{kind}","phase":"{phase}","iterations":{iterations}}}"#)
-            }
-            Event::PhaseFailed {
-                phase,
-                iterations,
-                unresolved,
-            } => format!(
-                r#"{{"event":"{kind}","phase":"{phase}","iterations":{iterations},"unresolved":"{}"}}"#,
-                escape(unresolved)
-            ),
-            Event::TypeApplied { signal, dtype } => format!(
-                r#"{{"event":"{kind}","signal":"{}","dtype":"{}"}}"#,
-                escape(signal),
-                escape(dtype)
-            ),
-            Event::VerifyCompleted {
-                overflows,
-                saturation_events,
-            } => format!(
-                r#"{{"event":"{kind}","overflows":{overflows},"saturation_events":{saturation_events}}}"#
-            ),
-            Event::ShardStarted {
-                shard,
-                seed,
-                snr_db,
-                samples,
-            } => format!(
-                r#"{{"event":"{kind}","shard":{shard},"seed":{seed},"snr_db":{},"samples":{samples}}}"#,
-                fmt_f64(*snr_db)
-            ),
-            Event::ShardMerged {
-                shard,
-                cycles,
-                signals,
-            } => format!(
-                r#"{{"event":"{kind}","shard":{shard},"cycles":{cycles},"signals":{signals}}}"#
-            ),
-            Event::CacheInvalidated { reason, dirty } => format!(
-                r#"{{"event":"{kind}","reason":"{}","dirty":{dirty}}}"#,
-                escape(reason)
-            ),
-            Event::RangeClamped { signal, lo, hi } => format!(
-                r#"{{"event":"{kind}","signal":"{}","lo":{},"hi":{}}}"#,
-                escape(signal),
-                fmt_f64(*lo),
-                fmt_f64(*hi)
-            ),
-            Event::RangeExploded { signal, passes } => format!(
-                r#"{{"event":"{kind}","signal":"{}","passes":{passes}}}"#,
-                escape(signal)
-            ),
-            Event::LintDiagnostic {
-                code,
-                severity,
-                signal,
-                message,
-            } => format!(
-                r#"{{"event":"{kind}","code":"{}","severity":"{}","signal":"{}","message":"{}"}}"#,
-                escape(code),
-                escape(severity),
-                escape(signal),
-                escape(message)
-            ),
-            Event::LintCompleted {
-                errors,
-                warnings,
-                infos,
-            } => format!(
-                r#"{{"event":"{kind}","errors":{errors},"warnings":{warnings},"infos":{infos}}}"#
-            ),
-            Event::LintGateFailed {
-                context,
-                code,
-                findings,
-            } => format!(
-                r#"{{"event":"{kind}","context":"{}","code":"{}","findings":{findings}}}"#,
-                escape(context),
-                escape(code)
-            ),
-            Event::VerifyStarted {
-                code,
-                signal,
-                registers,
-            } => format!(
-                r#"{{"event":"{kind}","code":"{}","signal":"{}","registers":{registers}}}"#,
-                escape(code),
-                escape(signal)
-            ),
-            Event::VerifyProved {
-                code,
-                signal,
-                states,
-                depth,
-            } => format!(
-                r#"{{"event":"{kind}","code":"{}","signal":"{}","states":{states},"depth":{depth}}}"#,
-                escape(code),
-                escape(signal)
-            ),
-            Event::VerifyCounterexample {
-                code,
-                signal,
-                steps,
-            } => format!(
-                r#"{{"event":"{kind}","code":"{}","signal":"{}","steps":{steps}}}"#,
-                escape(code),
-                escape(signal)
-            ),
-            Event::VerifyBoundExhausted {
-                code,
-                signal,
-                reason,
-                states,
-            } => format!(
-                r#"{{"event":"{kind}","code":"{}","signal":"{}","reason":"{}","states":{states}}}"#,
-                escape(code),
-                escape(signal),
-                escape(reason)
-            ),
-            Event::ShardFailed {
-                shard,
-                scenario,
-                attempts,
-                cause,
-            } => format!(
-                r#"{{"event":"{kind}","shard":{shard},"scenario":"{}","attempts":{attempts},"cause":"{}"}}"#,
-                escape(scenario),
-                escape(cause)
-            ),
-            Event::ShardRetried { shard, attempt } => {
-                format!(r#"{{"event":"{kind}","shard":{shard},"attempt":{attempt}}}"#)
-            }
-            Event::ShardQuarantined { shard, scenario } => format!(
-                r#"{{"event":"{kind}","shard":{shard},"scenario":"{}"}}"#,
-                escape(scenario)
-            ),
-            Event::CheckpointWritten {
-                sequence,
-                phase,
-                iteration,
-            } => format!(
-                r#"{{"event":"{kind}","sequence":{sequence},"phase":"{phase}","iteration":{iteration}}}"#
-            ),
-            Event::CheckpointFailed { sequence, cause } => format!(
-                r#"{{"event":"{kind}","sequence":{sequence},"cause":"{}"}}"#,
-                escape(cause)
-            ),
-            Event::ResumedFromCheckpoint {
-                sequence,
-                phase,
-                iteration,
-                events,
-            } => format!(
-                r#"{{"event":"{kind}","sequence":{sequence},"phase":"{phase}","iteration":{iteration},"events":{events}}}"#
-            ),
-            Event::BudgetExhausted {
-                phase,
-                simulations,
-                reason,
-            } => format!(
-                r#"{{"event":"{kind}","phase":"{phase}","simulations":{simulations},"reason":"{}"}}"#,
-                escape(reason)
-            ),
-            Event::BackendCompiled {
-                backend,
-                kinds,
-                instructions,
-                cycles,
-            } => format!(
-                r#"{{"event":"{kind}","backend":"{}","kinds":{kinds},"instructions":{instructions},"cycles":{cycles}}}"#,
-                escape(backend)
-            ),
-            Event::BackendFallback { backend, reason } => format!(
-                r#"{{"event":"{kind}","backend":"{}","reason":"{}"}}"#,
-                escape(backend),
-                escape(reason)
-            ),
-            Event::JobAccepted {
-                job,
-                tenant,
-                queue_depth,
-            } => format!(
-                r#"{{"event":"{kind}","job":"{}","tenant":"{}","queue_depth":{queue_depth}}}"#,
-                escape(job),
-                escape(tenant)
-            ),
-            Event::JobRejected { tenant, reason } => format!(
-                r#"{{"event":"{kind}","tenant":"{}","reason":"{}"}}"#,
-                escape(tenant),
-                escape(reason)
-            ),
-            Event::JobStarted {
-                job,
-                tenant,
-                attempt,
-            } => format!(
-                r#"{{"event":"{kind}","job":"{}","tenant":"{}","attempt":{attempt}}}"#,
-                escape(job),
-                escape(tenant)
-            ),
-            Event::JobRetried {
-                job,
-                attempt,
-                backoff_ms,
-            } => format!(
-                r#"{{"event":"{kind}","job":"{}","attempt":{attempt},"backoff_ms":{backoff_ms}}}"#,
-                escape(job)
-            ),
-            Event::JobRecovered {
-                job,
-                tenant,
-                from_checkpoint,
-            } => format!(
-                r#"{{"event":"{kind}","job":"{}","tenant":"{}","from_checkpoint":{from_checkpoint}}}"#,
-                escape(job),
-                escape(tenant)
-            ),
-            Event::JobCompleted {
-                job,
-                status,
-                attempts,
-            } => format!(
-                r#"{{"event":"{kind}","job":"{}","status":"{}","attempts":{attempts}}}"#,
-                escape(job),
-                escape(status)
-            ),
-        }
-    }
+crate::json_enum! {
+    tag = "event", error = JsonError;
 
-    /// Deserializes an event from one JSON object (one journal line).
+    /// One structured occurrence in the instrumented flow.
     ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on malformed JSON, an unknown `"event"`
-    /// tag, or missing/mistyped members.
-    pub fn from_json(line: &str) -> Result<Event, JsonError> {
-        let v = Json::parse(line)?;
-        Event::from_value(&v)
-    }
-
-    /// Deserializes an event from an already-parsed [`Json`] object —
-    /// the form checkpoint files use, where journal events are embedded
-    /// as an array of objects rather than JSON Lines.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] on an unknown `"event"` tag or
-    /// missing/mistyped members.
-    pub fn from_value(v: &Json) -> Result<Event, JsonError> {
-        let field_err = |name: &str| JsonError {
-            message: format!("missing or mistyped member {name:?}"),
-            offset: 0,
-        };
-        let s = |name: &str| -> Result<String, JsonError> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| field_err(name))
-        };
-        let f = |name: &str| -> Result<f64, JsonError> {
-            v.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| field_err(name))
-        };
-        let u = |name: &str| -> Result<u64, JsonError> {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| field_err(name))
-        };
-        let phase = |name: &str| -> Result<Phase, JsonError> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .and_then(Phase::parse)
-                .ok_or_else(|| field_err(name))
-        };
-        let kind = s("event")?;
-        match kind.as_str() {
-            "overflow_detected" => Ok(Event::OverflowDetected {
-                signal: s("signal")?,
-                value: f("value")?,
-                cycle: u("cycle")?,
-            }),
-            "iteration_started" => Ok(Event::IterationStarted {
-                phase: phase("phase")?,
-                iteration: u("iteration")? as usize,
-            }),
-            "interval_exploded" => Ok(Event::IntervalExploded {
-                signal: s("signal")?,
-                iteration: u("iteration")? as usize,
-            }),
-            "auto_range" => Ok(Event::AutoRange {
-                signal: s("signal")?,
-                lo: f("lo")?,
-                hi: f("hi")?,
-                iteration: u("iteration")? as usize,
-            }),
-            "auto_error" => Ok(Event::AutoError {
-                signal: s("signal")?,
-                sigma: f("sigma")?,
-                iteration: u("iteration")? as usize,
-            }),
-            "signal_resolved" => Ok(Event::SignalResolved {
-                signal: s("signal")?,
-                phase: phase("phase")?,
-                iteration: u("iteration")? as usize,
-            }),
-            "phase_converged" => Ok(Event::PhaseConverged {
-                phase: phase("phase")?,
-                iterations: u("iterations")? as usize,
-            }),
-            "phase_failed" => Ok(Event::PhaseFailed {
-                phase: phase("phase")?,
-                iterations: u("iterations")? as usize,
-                unresolved: s("unresolved")?,
-            }),
-            "type_applied" => Ok(Event::TypeApplied {
-                signal: s("signal")?,
-                dtype: s("dtype")?,
-            }),
-            "verify_completed" => Ok(Event::VerifyCompleted {
-                overflows: u("overflows")?,
-                saturation_events: u("saturation_events")?,
-            }),
-            "shard_started" => Ok(Event::ShardStarted {
-                shard: u("shard")? as usize,
-                seed: u("seed")?,
-                snr_db: f("snr_db")?,
-                samples: u("samples")? as usize,
-            }),
-            "shard_merged" => Ok(Event::ShardMerged {
-                shard: u("shard")? as usize,
-                cycles: u("cycles")?,
-                signals: u("signals")? as usize,
-            }),
-            "cache_invalidated" => Ok(Event::CacheInvalidated {
-                reason: s("reason")?,
-                dirty: u("dirty")? as usize,
-            }),
-            "range_clamped" => Ok(Event::RangeClamped {
-                signal: s("signal")?,
-                lo: f("lo")?,
-                hi: f("hi")?,
-            }),
-            "range_exploded" => Ok(Event::RangeExploded {
-                signal: s("signal")?,
-                passes: u("passes")? as usize,
-            }),
-            "lint_diagnostic" => Ok(Event::LintDiagnostic {
-                code: s("code")?,
-                severity: s("severity")?,
-                signal: s("signal")?,
-                message: s("message")?,
-            }),
-            "lint_completed" => Ok(Event::LintCompleted {
-                errors: u("errors")? as usize,
-                warnings: u("warnings")? as usize,
-                infos: u("infos")? as usize,
-            }),
-            "lint_gate_failed" => Ok(Event::LintGateFailed {
-                context: s("context")?,
-                code: s("code")?,
-                findings: u("findings")? as usize,
-            }),
-            "verify_started" => Ok(Event::VerifyStarted {
-                code: s("code")?,
-                signal: s("signal")?,
-                registers: u("registers")? as usize,
-            }),
-            "verify_proved" => Ok(Event::VerifyProved {
-                code: s("code")?,
-                signal: s("signal")?,
-                states: u("states")? as usize,
-                depth: u("depth")? as usize,
-            }),
-            "verify_counterexample" => Ok(Event::VerifyCounterexample {
-                code: s("code")?,
-                signal: s("signal")?,
-                steps: u("steps")? as usize,
-            }),
-            "verify_bound_exhausted" => Ok(Event::VerifyBoundExhausted {
-                code: s("code")?,
-                signal: s("signal")?,
-                reason: s("reason")?,
-                states: u("states")? as usize,
-            }),
-            "shard_failed" => Ok(Event::ShardFailed {
-                shard: u("shard")? as usize,
-                scenario: s("scenario")?,
-                attempts: u("attempts")? as usize,
-                cause: s("cause")?,
-            }),
-            "shard_retried" => Ok(Event::ShardRetried {
-                shard: u("shard")? as usize,
-                attempt: u("attempt")? as usize,
-            }),
-            "shard_quarantined" => Ok(Event::ShardQuarantined {
-                shard: u("shard")? as usize,
-                scenario: s("scenario")?,
-            }),
-            "checkpoint_written" => Ok(Event::CheckpointWritten {
-                sequence: u("sequence")? as usize,
-                phase: phase("phase")?,
-                iteration: u("iteration")? as usize,
-            }),
-            "checkpoint_failed" => Ok(Event::CheckpointFailed {
-                sequence: u("sequence")? as usize,
-                cause: s("cause")?,
-            }),
-            "resumed_from_checkpoint" => Ok(Event::ResumedFromCheckpoint {
-                sequence: u("sequence")? as usize,
-                phase: phase("phase")?,
-                iteration: u("iteration")? as usize,
-                events: u("events")? as usize,
-            }),
-            "budget_exhausted" => Ok(Event::BudgetExhausted {
-                phase: phase("phase")?,
-                simulations: u("simulations")?,
-                reason: s("reason")?,
-            }),
-            "backend_compiled" => Ok(Event::BackendCompiled {
-                backend: s("backend")?,
-                kinds: u("kinds")? as usize,
-                instructions: u("instructions")? as usize,
-                cycles: u("cycles")?,
-            }),
-            "backend_fallback" => Ok(Event::BackendFallback {
-                backend: s("backend")?,
-                reason: s("reason")?,
-            }),
-            "job_accepted" => Ok(Event::JobAccepted {
-                job: s("job")?,
-                tenant: s("tenant")?,
-                queue_depth: u("queue_depth")? as usize,
-            }),
-            "job_rejected" => Ok(Event::JobRejected {
-                tenant: s("tenant")?,
-                reason: s("reason")?,
-            }),
-            "job_started" => Ok(Event::JobStarted {
-                job: s("job")?,
-                tenant: s("tenant")?,
-                attempt: u("attempt")? as usize,
-            }),
-            "job_retried" => Ok(Event::JobRetried {
-                job: s("job")?,
-                attempt: u("attempt")? as usize,
-                backoff_ms: u("backoff_ms")?,
-            }),
-            "job_recovered" => Ok(Event::JobRecovered {
-                job: s("job")?,
-                tenant: s("tenant")?,
-                from_checkpoint: v
-                    .get("from_checkpoint")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| field_err("from_checkpoint"))?,
-            }),
-            "job_completed" => Ok(Event::JobCompleted {
-                job: s("job")?,
-                status: s("status")?,
-                attempts: u("attempts")? as usize,
-            }),
-            other => Err(JsonError {
-                message: format!("unknown event tag {other:?}"),
-                offset: 0,
-            }),
-        }
+    /// The taxonomy follows the refinement loop of paper Fig. 4: simulation
+    /// monitors raise [`Event::OverflowDetected`]; per-iteration analysis
+    /// raises [`Event::IntervalExploded`] and [`Event::SignalResolved`];
+    /// automatic interventions raise [`Event::AutoRange`] /
+    /// [`Event::AutoError`]; phase ends raise [`Event::PhaseConverged`] or
+    /// [`Event::PhaseFailed`]; type application raises [`Event::TypeApplied`];
+    /// the final check raises [`Event::VerifyCompleted`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Event {
+        /// A value did not fit a signal's type during simulation.
+        "overflow_detected" => OverflowDetected {
+            /// The overflowing signal.
+            signal: String,
+            /// The unquantized value that did not fit.
+            value: f64,
+            /// The clock cycle at which it happened.
+            cycle: u64,
+        },
+        /// One refinement iteration began (spans carry its timing; this event
+        /// anchors the journal's ordering).
+        "iteration_started" => IterationStarted {
+            /// The phase iterating.
+            phase: Phase,
+            /// 1-based iteration number.
+            iteration: usize,
+        },
+        /// A signal's propagated range exploded (unbounded or past the
+        /// explosion threshold) in an MSB iteration.
+        "interval_exploded" => IntervalExploded {
+            /// The exploded signal.
+            signal: String,
+            /// 1-based iteration in which the explosion was observed.
+            iteration: usize,
+        },
+        /// The flow pinned `range(lo, hi)` on a feedback signal — the
+        /// automatic equivalent of the paper's manual `b.range(-0.2, 0.2)`.
+        "auto_range" => AutoRange {
+            /// The annotated signal.
+            signal: String,
+            /// Lower pinned bound.
+            lo: f64,
+            /// Upper pinned bound.
+            hi: f64,
+            /// 1-based MSB iteration that inserted it.
+            iteration: usize,
+        },
+        /// The flow injected `error(σ)` on an LSB-divergent feedback signal.
+        "auto_error" => AutoError {
+            /// The annotated signal.
+            signal: String,
+            /// Injected error standard deviation.
+            sigma: f64,
+            /// 1-based LSB iteration that inserted it.
+            iteration: usize,
+        },
+        /// A signal that was exploded (MSB) or divergent (LSB) in an earlier
+        /// iteration is now resolved.
+        "signal_resolved" => SignalResolved {
+            /// The resolved signal.
+            signal: String,
+            /// The phase it resolved in.
+            phase: Phase,
+            /// 1-based iteration in which it resolved.
+            iteration: usize,
+        },
+        /// A phase finished with every refinable signal resolved.
+        "phase_converged" => PhaseConverged {
+            /// The converged phase.
+            phase: Phase,
+            /// Iterations it took.
+            iterations: usize,
+        },
+        /// A phase exhausted its iteration budget.
+        "phase_failed" => PhaseFailed {
+            /// The failed phase.
+            phase: Phase,
+            /// Iterations spent.
+            iterations: usize,
+            /// Comma-joined names of the signals still unresolved.
+            unresolved: String,
+        },
+        /// A decided type was applied to a signal.
+        "type_applied" => TypeApplied {
+            /// The typed signal.
+            signal: String,
+            /// The decided type, in `<n,f,…>` display form.
+            dtype: String,
+        },
+        /// The final verification run completed.
+        "verify_completed" => VerifyCompleted {
+            /// Overflows on wrap/error-mode types (failures).
+            overflows: u64,
+            /// Excursions absorbed by saturating types (informational).
+            saturation_events: u64,
+        },
+        /// A scenario shard of a parallel sweep began merging into the master
+        /// journal. Shard journals are concatenated in shard (scenario) order,
+        /// bracketed by this event and [`Event::ShardMerged`].
+        "shard_started" => ShardStarted {
+            /// 0-based scenario index of the shard.
+            shard: usize,
+            /// Stimulus seed the shard simulated with.
+            seed: u64,
+            /// Stimulus SNR of the shard (dB).
+            snr_db: f64,
+            /// Samples the shard simulated.
+            samples: usize,
+        },
+        /// A scenario shard's statistics finished merging into the master
+        /// design.
+        "shard_merged" => ShardMerged {
+            /// 0-based scenario index of the shard.
+            shard: usize,
+            /// Simulation cycles the shard ran.
+            cycles: u64,
+            /// Signals whose monitors were merged.
+            signals: usize,
+        },
+        /// An incremental evaluation cache was invalidated: annotation
+        /// changes dirtied part (or all) of the design, so the next run
+        /// cannot be replayed wholesale from cached monitors.
+        "cache_invalidated" => CacheInvalidated {
+            /// What invalidated the cache (e.g. `"annotations"`,
+            /// `"error_sigma"`).
+            reason: String,
+            /// Number of signals marked dirty by the invalidation.
+            dirty: usize,
+        },
+        /// A zero-spanning division's unbounded quotient was clamped to the
+        /// dividend's declared type bound during analytical range
+        /// propagation, instead of silently poisoning downstream ranges.
+        "range_clamped" => RangeClamped {
+            /// The signal whose defining division was clamped.
+            signal: String,
+            /// Lower clamped bound.
+            lo: f64,
+            /// Upper clamped bound.
+            hi: f64,
+        },
+        /// A signal's analytical range was widened to unbounded after
+        /// exceeding the growth-pass budget on a feedback path — the "MSB
+        /// explosion" the paper warns about, journaled instead of silently
+        /// railing to `Interval::UNBOUNDED`.
+        "range_exploded" => RangeExploded {
+            /// The signal whose range exploded.
+            signal: String,
+            /// Growing passes observed before the analysis gave up.
+            passes: usize,
+        },
+        /// One static-lint finding (pre-flight diagnostics over the recorded
+        /// signal-flow graph).
+        "lint_diagnostic" => LintDiagnostic {
+            /// The stable diagnostic code (`"FXL001"`, …).
+            code: String,
+            /// Severity wire form (`"info"` / `"warning"` / `"error"`).
+            severity: String,
+            /// The signal the finding is anchored to.
+            signal: String,
+            /// Human-readable explanation.
+            message: String,
+        },
+        /// A lint run over the design finished.
+        "lint_completed" => LintCompleted {
+            /// Error-severity findings.
+            errors: usize,
+            /// Warning-severity findings.
+            warnings: usize,
+            /// Info-severity findings.
+            infos: usize,
+        },
+        /// A lint-backed gate rejected something: the pre-flight flow gate
+        /// hit a denied code.
+        "lint_gate_failed" => LintGateFailed {
+            /// Which gate failed (`"flow.preflight"`).
+            context: String,
+            /// The diagnostic code that triggered the failure.
+            code: String,
+            /// Number of findings with that code.
+            findings: usize,
+        },
+        /// A formal verification run (bounded model check of one lint
+        /// finding) started.
+        "verify_started" => VerifyStarted {
+            /// Diagnostic code under check (`"FXL002"`, …).
+            code: String,
+            /// Anchor signal of the property being checked.
+            signal: String,
+            /// Number of state-holding registers in the extracted model.
+            registers: usize,
+        },
+        /// The checker proved the property: the reachable state space closed
+        /// with no bad state, discharging the diagnostic.
+        "verify_proved" => VerifyProved {
+            /// Diagnostic code discharged.
+            code: String,
+            /// Anchor signal of the property.
+            signal: String,
+            /// Distinct states in the closed reachable set.
+            states: usize,
+            /// Exploration depth (ticks) at closure.
+            depth: usize,
+        },
+        /// The checker found a concrete input sequence driving the design
+        /// into the hazard the diagnostic warned about.
+        "verify_counterexample" => VerifyCounterexample {
+            /// Diagnostic code refuted.
+            code: String,
+            /// Anchor signal of the property.
+            signal: String,
+            /// Length of the witness stimulus in ticks.
+            steps: usize,
+        },
+        /// The checker gave up without a verdict: state space or input
+        /// alphabet exceeded its bounds, or the model was not finite-state.
+        "verify_bound_exhausted" => VerifyBoundExhausted {
+            /// Diagnostic code left undecided.
+            code: String,
+            /// Anchor signal of the property.
+            signal: String,
+            /// Why the check was inconclusive (`"state_too_large"`, …).
+            reason: String,
+            /// States explored before giving up.
+            states: usize,
+        },
+        /// A scenario shard failed — panicked or lost its result — after
+        /// every permitted attempt. Under a `Strict` fault policy the sweep
+        /// aborts here; under `Degraded` the surviving shards are merged and
+        /// coverage drops.
+        "shard_failed" => ShardFailed {
+            /// 0-based scenario index of the failed shard.
+            shard: usize,
+            /// The scenario label (`Scenario::label`).
+            scenario: String,
+            /// Attempts made before giving up.
+            attempts: usize,
+            /// The captured panic message or failure cause.
+            cause: String,
+        },
+        /// A failed shard attempt was retried with the same scenario (same
+        /// seed, so a retry that succeeds is bit-identical to a fault-free
+        /// run).
+        "shard_retried" => ShardRetried {
+            /// 0-based scenario index of the retried shard.
+            shard: usize,
+            /// 0-based attempt number being started (1 = first retry).
+            attempt: usize,
+        },
+        /// A scenario that exhausted its retry budget was quarantined: the
+        /// sweep stops re-simulating it and reports reduced coverage instead.
+        "shard_quarantined" => ShardQuarantined {
+            /// 0-based scenario index of the quarantined shard.
+            shard: usize,
+            /// The scenario label (`Scenario::label`).
+            scenario: String,
+        },
+        /// Flow state was checkpointed to the journal-backed checkpoint file.
+        "checkpoint_written" => CheckpointWritten {
+            /// 0-based checkpoint sequence number (monotonic per flow).
+            sequence: usize,
+            /// The phase whose iteration just completed.
+            phase: Phase,
+            /// The 1-based iteration just completed.
+            iteration: usize,
+        },
+        /// A checkpoint write failed (I/O error or injected fault). The flow
+        /// continues; the previous checkpoint on disk stays authoritative.
+        "checkpoint_failed" => CheckpointFailed {
+            /// Sequence number of the failed write.
+            sequence: usize,
+            /// The failure cause.
+            cause: String,
+        },
+        /// A flow was reconstructed from a checkpoint file; the restored
+        /// journal follows this event.
+        "resumed_from_checkpoint" => ResumedFromCheckpoint {
+            /// Sequence number of the checkpoint resumed from.
+            sequence: usize,
+            /// The phase the flow will resume in.
+            phase: Phase,
+            /// The 1-based iteration the flow will resume at.
+            iteration: usize,
+            /// Number of journal events restored from the checkpoint.
+            events: usize,
+        },
+        /// A wall-clock or simulation-count budget ran out; the flow returns
+        /// its best-so-far annotations marked `Partial` instead of erroring.
+        "budget_exhausted" => BudgetExhausted {
+            /// The phase that was running when the budget ran out.
+            phase: Phase,
+            /// Simulations completed so far across the run.
+            simulations: u64,
+            /// Which budget ran out and where (human-readable).
+            reason: String,
+        },
+        /// A design's captured execution trace was lowered to a straight-line
+        /// bytecode program, enabling compiled re-simulation.
+        "backend_compiled" => BackendCompiled {
+            /// The backend that compiled (`"compiled"`).
+            backend: String,
+            /// Deduplicated cycle kinds in the program.
+            kinds: usize,
+            /// Total bytecode instructions across all kinds.
+            instructions: usize,
+            /// Scheduled simulation cycles per replay.
+            cycles: u64,
+        },
+        /// A compiled backend request fell back to the interpreted
+        /// simulator — the static-schedule lint refused the design, lowering
+        /// failed, or the run mode (armed fault plan, checkpoint resume) is
+        /// only supported interpreted. The run proceeds with identical
+        /// results, just without the speedup.
+        "backend_fallback" => BackendFallback {
+            /// The backend that was requested (`"compiled"`).
+            backend: String,
+            /// Why the fallback happened (e.g. `"FXL001"`).
+            reason: String,
+        },
+        /// The job server admitted a submitted job into its bounded queue
+        /// and journaled it to the write-ahead jobs log.
+        "job_accepted" => JobAccepted {
+            /// The server-assigned job id (stable across restarts).
+            job: String,
+            /// The submitting tenant.
+            tenant: String,
+            /// Queue depth *after* admission.
+            queue_depth: usize,
+        },
+        /// Admission control refused a submitted job (full queue, oversized
+        /// spec, unknown design kind). The job is never enqueued or journaled
+        /// as accepted; the submitter gets the reason back.
+        "job_rejected" => JobRejected {
+            /// The submitting tenant.
+            tenant: String,
+            /// Why admission refused the job (`"queue full (cap 64)"`, …).
+            reason: String,
+        },
+        /// A worker picked a queued job and began (or resumed) its flow.
+        "job_started" => JobStarted {
+            /// The job id.
+            job: String,
+            /// The submitting tenant.
+            tenant: String,
+            /// 1-based attempt number (1 = first execution).
+            attempt: usize,
+        },
+        /// A failed job was rescheduled after its deterministic backoff.
+        "job_retried" => JobRetried {
+            /// The job id.
+            job: String,
+            /// 1-based attempt number being scheduled next.
+            attempt: usize,
+            /// The jittered backoff delay that preceded the retry, in ms.
+            backoff_ms: u64,
+        },
+        /// A restarted server found the job accepted-but-unfinished in the
+        /// write-ahead log and requeued it, resuming from its last
+        /// checkpoint when one exists.
+        "job_recovered" => JobRecovered {
+            /// The job id.
+            job: String,
+            /// The submitting tenant.
+            tenant: String,
+            /// Whether a usable checkpoint file was found to resume from
+            /// (`false` means the job restarts from scratch — still
+            /// bit-identical, just without the saved progress).
+            from_checkpoint: bool,
+        },
+        /// A job reached a terminal state: `"complete"`, `"partial"` (budget
+        /// exhausted or cancelled) or `"failed"` (error after all retries).
+        "job_completed" => JobCompleted {
+            /// The job id.
+            job: String,
+            /// Terminal status wire tag.
+            status: String,
+            /// Total execution attempts consumed.
+            attempts: usize,
+        },
     }
 }
 
@@ -1227,214 +674,6 @@ impl fmt::Display for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_events() -> Vec<Event> {
-        vec![
-            Event::OverflowDetected {
-                signal: "acc".into(),
-                value: 3.75,
-                cycle: 17,
-            },
-            Event::IterationStarted {
-                phase: Phase::Msb,
-                iteration: 1,
-            },
-            Event::IntervalExploded {
-                signal: "w".into(),
-                iteration: 1,
-            },
-            Event::AutoRange {
-                signal: "b".into(),
-                lo: -0.355,
-                hi: 0.189,
-                iteration: 1,
-            },
-            Event::AutoError {
-                signal: "nco".into(),
-                sigma: 2.26e-4,
-                iteration: 1,
-            },
-            Event::SignalResolved {
-                signal: "w".into(),
-                phase: Phase::Msb,
-                iteration: 2,
-            },
-            Event::PhaseConverged {
-                phase: Phase::Lsb,
-                iterations: 2,
-            },
-            Event::PhaseFailed {
-                phase: Phase::Msb,
-                iterations: 8,
-                unresolved: "a, b".into(),
-            },
-            Event::TypeApplied {
-                signal: "y\"q\\".into(),
-                dtype: "<8,6,tc,st,rd>".into(),
-            },
-            Event::VerifyCompleted {
-                overflows: 0,
-                saturation_events: 12,
-            },
-            Event::ShardStarted {
-                shard: 3,
-                seed: 0xDA7E_1999,
-                snr_db: 28.0,
-                samples: 4000,
-            },
-            Event::ShardMerged {
-                shard: 3,
-                cycles: 4000,
-                signals: 14,
-            },
-            Event::CacheInvalidated {
-                reason: "error_sigma".into(),
-                dirty: 14,
-            },
-            Event::RangeClamped {
-                signal: "q".into(),
-                lo: -8.0,
-                hi: 7.9375,
-            },
-            Event::RangeExploded {
-                signal: "acc".into(),
-                passes: 64,
-            },
-            Event::LintDiagnostic {
-                code: "FXL001".into(),
-                severity: "error".into(),
-                signal: "mu".into(),
-                message: "written 5999 times, producers at 12000".into(),
-            },
-            Event::LintCompleted {
-                errors: 1,
-                warnings: 4,
-                infos: 2,
-            },
-            Event::LintGateFailed {
-                context: "flow.preflight".into(),
-                code: "FXL001".into(),
-                findings: 3,
-            },
-            Event::VerifyStarted {
-                code: "FXL002".into(),
-                signal: "b".into(),
-                registers: 2,
-            },
-            Event::VerifyProved {
-                code: "FXL002".into(),
-                signal: "b".into(),
-                states: 1024,
-                depth: 9,
-            },
-            Event::VerifyCounterexample {
-                code: "FXL004".into(),
-                signal: "y1".into(),
-                steps: 6,
-            },
-            Event::VerifyBoundExhausted {
-                code: "FXL002".into(),
-                signal: "phase".into(),
-                reason: "state_too_large".into(),
-                states: 0,
-            },
-            Event::ShardFailed {
-                shard: 1,
-                scenario: "s1 seed=8 snr=24dB n=1200".into(),
-                attempts: 2,
-                cause: "injected fault: shard 1 attempt 1".into(),
-            },
-            Event::ShardRetried {
-                shard: 1,
-                attempt: 1,
-            },
-            Event::ShardQuarantined {
-                shard: 1,
-                scenario: "s1 seed=8 snr=24dB n=1200".into(),
-            },
-            Event::CheckpointWritten {
-                sequence: 0,
-                phase: Phase::Msb,
-                iteration: 1,
-            },
-            Event::CheckpointFailed {
-                sequence: 1,
-                cause: "injected checkpoint-write fault".into(),
-            },
-            Event::ResumedFromCheckpoint {
-                sequence: 1,
-                phase: Phase::Lsb,
-                iteration: 1,
-                events: 42,
-            },
-            Event::BudgetExhausted {
-                phase: Phase::Msb,
-                simulations: 2,
-                reason: "simulation budget of 2 exhausted".into(),
-            },
-            Event::BackendCompiled {
-                backend: "compiled".into(),
-                kinds: 3,
-                instructions: 412,
-                cycles: 4000,
-            },
-            Event::BackendFallback {
-                backend: "compiled".into(),
-                reason: "FXL001".into(),
-            },
-            Event::JobAccepted {
-                job: "j-0003".into(),
-                tenant: "acme".into(),
-                queue_depth: 5,
-            },
-            Event::JobRejected {
-                tenant: "acme".into(),
-                reason: "queue full (cap 8)".into(),
-            },
-            Event::JobStarted {
-                job: "j-0003".into(),
-                tenant: "acme".into(),
-                attempt: 1,
-            },
-            Event::JobRetried {
-                job: "j-0003".into(),
-                attempt: 2,
-                backoff_ms: 37,
-            },
-            Event::JobRecovered {
-                job: "j-0003".into(),
-                tenant: "acme".into(),
-                from_checkpoint: true,
-            },
-            Event::JobCompleted {
-                job: "j-0003".into(),
-                status: "partial".into(),
-                attempts: 2,
-            },
-        ]
-    }
-
-    #[test]
-    fn every_variant_round_trips_through_json() {
-        for e in sample_events() {
-            let line = e.to_json();
-            let back = Event::from_json(&line).unwrap_or_else(|err| {
-                panic!("{line}: {err}");
-            });
-            assert_eq!(back, e, "line {line}");
-        }
-    }
-
-    #[test]
-    fn non_finite_payloads_survive() {
-        let e = Event::OverflowDetected {
-            signal: "x".into(),
-            value: f64::INFINITY,
-            cycle: 0,
-        };
-        let back = Event::from_json(&e.to_json()).unwrap();
-        assert_eq!(back, e);
-    }
 
     #[test]
     fn unknown_tags_and_missing_members_are_rejected() {

@@ -15,7 +15,8 @@
 //!    aligned text output and machine-readable JSON output.
 //!
 //! The crate deliberately has **no dependencies** — JSON emission and
-//! parsing are hand-rolled in [`json`] — so every other crate in the
+//! parsing live in its own [`json`] layer, through which every persisted
+//! document in the workspace is declared — so every other crate in the
 //! workspace can depend on it without cost or cycles.
 
 #![forbid(unsafe_code)]

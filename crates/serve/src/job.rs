@@ -1,7 +1,7 @@
 //! Job lifecycle types: states, status snapshots and persisted results.
 
-use fixref_obs::json::{escape, fmt_f64};
-use fixref_obs::{Event, Json};
+use fixref_obs::json::{self, FromJson, Json, JsonError, ToJson};
+use fixref_obs::Event;
 use fixref_sim::{SignalAnnotation, SpecError};
 
 /// Where a job is in its lifecycle.
@@ -35,6 +35,19 @@ impl JobState {
     }
 }
 
+impl ToJson for JobState {
+    fn write_json(&self, out: &mut String) {
+        self.name().write_json(out);
+    }
+}
+
+impl FromJson for JobState {
+    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
+        use JobState::{Cancelled, Finished, Queued, Running};
+        json::read_token(v, &[Queued, Running, Finished, Cancelled], |s| s.name())
+    }
+}
+
 /// A point-in-time status snapshot for the status API.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobStatus {
@@ -53,23 +66,8 @@ pub struct JobStatus {
     pub reason: Option<String>,
 }
 
-impl JobStatus {
-    /// Renders the snapshot as one JSON object.
-    pub fn to_json(&self) -> String {
-        let opt = |v: &Option<String>| match v {
-            Some(s) => format!(r#""{}""#, escape(s)),
-            None => "null".into(),
-        };
-        format!(
-            r#"{{"job":"{}","tenant":"{}","state":"{}","attempts":{},"status":{},"reason":{}}}"#,
-            escape(&self.job),
-            escape(&self.tenant),
-            self.state.name(),
-            self.attempts,
-            opt(&self.status),
-            opt(&self.reason)
-        )
-    }
+fixref_obs::json_struct! {
+    JobStatus: SpecError { job, tenant, state, attempts, status, reason }
 }
 
 /// Deterministic one-line rendering of a final signal annotation, used
@@ -80,9 +78,9 @@ pub fn render_annotation(a: &SignalAnnotation) -> String {
         .as_ref()
         .map_or("-".to_string(), std::string::ToString::to_string);
     let range = a.range.map_or("-".to_string(), |r| {
-        format!("[{},{}]", fmt_f64(r.lo), fmt_f64(r.hi))
+        format!("[{},{}]", json::encode(&r.lo), json::encode(&r.hi))
     });
-    let sigma = a.error_sigma.map_or("-".to_string(), fmt_f64);
+    let sigma = a.error_sigma.map_or("-".to_string(), |s| json::encode(&s));
     format!("{} dtype={dtype} range={range} sigma={sigma}", a.name)
 }
 
@@ -118,155 +116,25 @@ pub struct JobResult {
     pub journal: Vec<Event>,
 }
 
-impl JobResult {
-    /// Serializes the result as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            r#"{{"job":"{}","tenant":"{}","status":"{}""#,
-            escape(&self.job),
-            escape(&self.tenant),
-            escape(&self.status)
-        ));
-        match &self.reason {
-            Some(r) => out.push_str(&format!(r#","reason":"{}""#, escape(r))),
-            None => out.push_str(r#","reason":null"#),
-        }
-        out.push_str(&format!(
-            r#","attempts":{},"msb_iterations":{},"lsb_iterations":{}"#,
-            self.attempts, self.msb_iterations, self.lsb_iterations
-        ));
-        match &self.coverage {
-            Some(c) => out.push_str(&format!(r#","coverage":"{}""#, escape(c))),
-            None => out.push_str(r#","coverage":null"#),
-        }
-        let types: Vec<String> = self
-            .types
-            .iter()
-            .map(|(n, t)| format!(r#"["{}","{}"]"#, escape(n), escape(t)))
-            .collect();
-        out.push_str(&format!(r#","types":[{}]"#, types.join(",")));
-        let annotations: Vec<String> = self
-            .annotations
-            .iter()
-            .map(|a| format!(r#""{}""#, escape(a)))
-            .collect();
-        out.push_str(&format!(r#","annotations":[{}]"#, annotations.join(",")));
-        let journal: Vec<String> = self.journal.iter().map(Event::to_json).collect();
-        out.push_str(&format!(r#","journal":[{}]}}"#, journal.join(",")));
-        out
-    }
-
-    /// Decodes a result from its JSON text form.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError`] on malformed JSON or a malformed member.
-    pub fn from_json(text: &str) -> Result<JobResult, SpecError> {
-        let v = Json::parse(text).map_err(|e| SpecError::new(format!("job result: {e}")))?;
-        let field = |name: &str| -> Result<String, SpecError> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| SpecError::new(format!("job result: missing {name:?}")))
-        };
-        let opt = |name: &str| -> Result<Option<String>, SpecError> {
-            match v.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(j) => j
-                    .as_str()
-                    .map(|s| Some(s.to_string()))
-                    .ok_or_else(|| SpecError::new(format!("job result: mistyped {name:?}"))),
-            }
-        };
-        let uint = |name: &str| -> Result<usize, SpecError> {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .map(|n| n as usize)
-                .ok_or_else(|| SpecError::new(format!("job result: missing {name:?}")))
-        };
-        let arr = |name: &str| -> Result<&[Json], SpecError> {
-            v.get(name)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| SpecError::new(format!("job result: missing {name:?}")))
-        };
-        let types = arr("types")?
-            .iter()
-            .map(|pair| {
-                let items = pair
-                    .as_arr()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| SpecError::new("job result: malformed type pair"))?;
-                match (items[0].as_str(), items[1].as_str()) {
-                    (Some(n), Some(t)) => Ok((n.to_string(), t.to_string())),
-                    _ => Err(SpecError::new("job result: malformed type pair")),
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let annotations = arr("annotations")?
-            .iter()
-            .map(|a| {
-                a.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| SpecError::new("job result: malformed annotation"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let journal = arr("journal")?
-            .iter()
-            .map(|e| {
-                Event::from_value(e)
-                    .map_err(|err| SpecError::new(format!("job result: journal event: {err}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(JobResult {
-            job: field("job")?,
-            tenant: field("tenant")?,
-            status: field("status")?,
-            reason: opt("reason")?,
-            attempts: uint("attempts")?,
-            msb_iterations: uint("msb_iterations")?,
-            lsb_iterations: uint("lsb_iterations")?,
-            coverage: opt("coverage")?,
-            types,
-            annotations,
-            journal,
-        })
+fixref_obs::json_struct! {
+    JobResult: SpecError {
+        job,
+        tenant,
+        status,
+        reason,
+        attempts,
+        msb_iterations,
+        lsb_iterations,
+        coverage,
+        types,
+        annotations,
+        journal,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fixref_obs::Phase;
-
-    #[test]
-    fn job_results_round_trip() {
-        let result = JobResult {
-            job: "j-3".into(),
-            tenant: "acme".into(),
-            status: "partial".into(),
-            reason: Some("cancelled after 1 simulation(s)".into()),
-            attempts: 2,
-            msb_iterations: 1,
-            lsb_iterations: 0,
-            coverage: Some("7 of 8 scenarios".into()),
-            types: vec![("x".into(), "<7,5,tc,st,rd>".into())],
-            annotations: vec!["x dtype=<7,5,tc,st,rd> range=[-1.5,1.5] sigma=-".into()],
-            journal: vec![
-                Event::IterationStarted {
-                    phase: Phase::Msb,
-                    iteration: 1,
-                },
-                Event::BudgetExhausted {
-                    phase: Phase::Msb,
-                    simulations: 1,
-                    reason: "cancelled after 1 simulation(s)".into(),
-                },
-            ],
-        };
-        let back = JobResult::from_json(&result.to_json()).expect("parses");
-        assert_eq!(back, result);
-    }
 
     #[test]
     fn state_names_and_terminality() {

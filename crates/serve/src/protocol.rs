@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fixref_core::JobSpec;
-use fixref_obs::json::escape;
+use fixref_obs::json::{self, escape};
 use fixref_obs::{Event, Json};
 
 use crate::server::Server;
@@ -35,6 +35,11 @@ use crate::server::Server;
 /// Renders a `{"ok":false,...}` error response.
 fn err_line(message: &str) -> String {
     format!(r#"{{"ok":false,"error":"{}"}}"#, escape(message))
+}
+
+/// Renders a `{"ok":true,"events":[...]}` journal response.
+fn events_line(events: &[Event]) -> String {
+    format!(r#"{{"ok":true,"events":{}}}"#, json::encode(events))
 }
 
 /// Dispatches one request line against the server, returning the
@@ -83,21 +88,10 @@ pub fn handle_line(server: &Server, line: &str) -> String {
             Err(e) => err_line(&e),
         },
         "journal" => match job_arg(&v) {
-            Ok(job) => {
-                let events: Vec<String> = server.journal(&job).iter().map(Event::to_json).collect();
-                format!(r#"{{"ok":true,"events":[{}]}}"#, events.join(","))
-            }
+            Ok(job) => events_line(&server.journal(&job)),
             Err(e) => err_line(&e),
         },
-        "events" => {
-            let events: Vec<String> = server
-                .recorder()
-                .events()
-                .iter()
-                .map(Event::to_json)
-                .collect();
-            format!(r#"{{"ok":true,"events":[{}]}}"#, events.join(","))
-        }
+        "events" => events_line(&server.recorder().events()),
         "cancel" => match job_arg(&v) {
             Ok(job) => format!(r#"{{"ok":true,"cancelled":{}}}"#, server.cancel(&job)),
             Err(e) => err_line(&e),
@@ -245,6 +239,14 @@ mod tests {
             let response = handle_line(&server, bad);
             assert!(response.contains(r#""ok":false"#), "{bad} -> {response}");
         }
+    }
+
+    #[test]
+    fn deeply_nested_requests_are_refused_not_a_stack_overflow() {
+        let server = test_server("deep");
+        let response = handle_line(&server, &"[".repeat(200_000));
+        assert!(response.starts_with(r#"{"ok":false,"#), "{response}");
+        assert!(response.contains("nesting"), "{response}");
     }
 
     #[test]

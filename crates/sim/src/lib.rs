@@ -95,9 +95,7 @@ pub use pool::{
 };
 pub use report::SignalReport;
 pub use scenario::{Scenario, ScenarioSet};
-pub use spec::{
-    scenario_set_from_json, scenario_set_from_value, scenario_set_to_json, DesignSpec, SpecError,
-};
+pub use spec::{DesignSpec, SpecError};
 pub use tape::{
     BoundTrace, CompiledProgram, CycleKind, ExecTrace, InputSample, Instr, Segment, TraceStep,
 };

@@ -1,4 +1,5 @@
-//! Serializable design and scenario specifications.
+//! Serializable design and scenario specifications, and the JSON forms
+//! of the simulator state a checkpoint persists.
 //!
 //! A [`DesignSpec`] is the wire form of "which design to build": a
 //! registered builder *kind* (designs themselves are Rust closures and
@@ -9,16 +10,22 @@
 //! the same spec always rebuilds the same design and the same scenario
 //! grid, bit for bit.
 //!
-//! The encoding is the repo's usual hand-rolled JSON over
-//! [`fixref_obs::Json`] — no external dependencies, non-finite floats
-//! spelled as strings (`"Infinity"` for a noiseless replay scenario's
-//! SNR), and explicit structured errors instead of panics.
+//! Every encoding here is a field list over [`fixref_obs::json`]'s
+//! `ToJson`/`FromJson` traits: non-finite floats are spelled as strings
+//! (`"Infinity"` for a noiseless replay scenario's SNR) and errors are
+//! structured, naming the bad member. The fixed-point value types live in
+//! `fixref-fixed`, which has no JSON layer, so their wire forms are the
+//! codecs [`IntervalCodec`], [`DTypeCodec`], [`StatsCodec`] and
+//! [`TokenCodec`], which the checkpoint format also uses.
 
 use std::fmt;
 
-use fixref_obs::json::{escape, fmt_f64};
-use fixref_obs::Json;
+use fixref_fixed::{
+    DType, ErrorStats, Interval, OverflowMode, RangeStats, RoundingMode, Signedness,
+};
+use fixref_obs::json::{self, FromJson, Json, JsonCodec, JsonError, Members, ToJson};
 
+use crate::design::{OverflowEvent, SignalAnnotation, SignalId, SignalStats};
 use crate::scenario::{Scenario, ScenarioSet};
 
 /// Why a spec document could not be decoded.
@@ -44,6 +51,12 @@ impl fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+impl From<JsonError> for SpecError {
+    fn from(e: JsonError) -> Self {
+        SpecError::new(e.to_string())
+    }
+}
 
 /// The serializable description of a design to build.
 ///
@@ -87,176 +100,186 @@ impl DesignSpec {
     pub fn param(&self, name: &str) -> Option<f64> {
         self.params.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
+}
 
-    /// Serializes the spec as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(r#"{{"kind":"{}""#, escape(&self.kind)));
-        match &self.input_dtype {
-            Some(t) => out.push_str(&format!(r#","input_dtype":"{}""#, escape(t))),
-            None => out.push_str(r#","input_dtype":null"#),
-        }
-        out.push_str(r#","params":{"#);
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(r#""{}":{}"#, escape(k), fmt_f64(*v)));
-        }
-        out.push_str("}}");
-        out
-    }
+fixref_obs::json_struct! {
+    DesignSpec: SpecError { kind, input_dtype, params as Members = Vec::new() }
+}
 
-    /// Decodes a spec from an already-parsed JSON value.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError`] naming the missing or mistyped member.
-    pub fn from_value(v: &Json) -> Result<DesignSpec, SpecError> {
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SpecError::new("design spec: missing or mistyped \"kind\""))?
-            .to_string();
-        let input_dtype = match v.get("input_dtype") {
-            None | Some(Json::Null) => None,
-            Some(j) => Some(
-                j.as_str()
-                    .ok_or_else(|| SpecError::new("design spec: \"input_dtype\" is not a string"))?
-                    .to_string(),
-            ),
-        };
-        let mut params = Vec::new();
-        match v.get("params") {
-            None => {}
-            Some(Json::Obj(members)) => {
-                for (k, val) in members {
-                    let value = val.as_f64().ok_or_else(|| {
-                        SpecError::new(format!("design spec: parameter {k:?} is not a number"))
-                    })?;
-                    params.push((k.clone(), value));
-                }
-            }
-            Some(_) => return Err(SpecError::new("design spec: \"params\" is not an object")),
-        }
-        Ok(DesignSpec {
-            kind,
-            input_dtype,
-            params,
-        })
-    }
-
-    /// Decodes a spec from its JSON text form.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError`] on malformed JSON or missing members.
-    pub fn from_json(text: &str) -> Result<DesignSpec, SpecError> {
-        let v = Json::parse(text).map_err(|e| SpecError::new(format!("design spec: {e}")))?;
-        DesignSpec::from_value(&v)
+fixref_obs::json_struct! {
+    Scenario {
+        skip index = 0,
+        seed,
+        snr_db,
+        channel_taps,
+        samples,
+        stimulus as Members = Vec::new(),
     }
 }
 
-/// Serializes a [`ScenarioSet`] as one JSON array of scenario objects
-/// (the inverse of [`scenario_set_from_value`]). Witness stimulus
+/// A scenario set is a JSON array of scenario objects. Witness stimulus
 /// streams and non-finite SNRs round-trip exactly.
-pub fn scenario_set_to_json(set: &ScenarioSet) -> String {
-    let mut out = String::from("[");
-    for (i, s) in set.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let taps: Vec<String> = s.channel_taps.iter().map(|t| fmt_f64(*t)).collect();
-        out.push_str(&format!(
-            r#"{{"seed":{},"snr_db":{},"channel_taps":[{}],"samples":{}"#,
-            s.seed,
-            fmt_f64(s.snr_db),
-            taps.join(","),
-            s.samples
-        ));
-        out.push_str(r#","stimulus":{"#);
-        for (j, (name, stream)) in s.stimulus.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let vals: Vec<String> = stream.iter().map(|v| fmt_f64(*v)).collect();
-            out.push_str(&format!(r#""{}":[{}]"#, escape(name), vals.join(",")));
-        }
-        out.push_str("}}");
+impl ToJson for ScenarioSet {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
-    out.push(']');
-    out
 }
 
-/// Decodes a [`ScenarioSet`] from the array form written by
-/// [`scenario_set_to_json`]. Scenario indices are reassigned in array
-/// order, so the decoded set folds identically to the encoded one.
-///
-/// # Errors
-///
-/// [`SpecError`] naming the offending scenario and member.
-pub fn scenario_set_from_value(v: &Json) -> Result<ScenarioSet, SpecError> {
-    let items = v
-        .as_arr()
-        .ok_or_else(|| SpecError::new("scenario set is not an array"))?;
-    let mut scenarios = Vec::with_capacity(items.len());
-    for (index, item) in items.iter().enumerate() {
-        let ctx = |m: &str| SpecError::new(format!("scenario {index}: missing or mistyped {m:?}"));
-        let seed = item
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ctx("seed"))?;
-        let snr_db = item
-            .get("snr_db")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| ctx("snr_db"))?;
-        let samples = item
-            .get("samples")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ctx("samples"))? as usize;
-        let channel_taps = item
-            .get("channel_taps")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ctx("channel_taps"))?
+/// Scenario indices are reassigned in array order, so the decoded set
+/// folds identically to the encoded one.
+impl FromJson for ScenarioSet {
+    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
+        let items = v
+            .as_arr()
+            .ok_or_else(|| JsonError::decode("expected an array of scenarios"))?;
+        let scenarios = items
             .iter()
-            .map(|t| t.as_f64().ok_or_else(|| ctx("channel_taps")))
+            .enumerate()
+            .map(|(i, item)| {
+                Scenario::from_json_value(item).map_err(|e| JsonError {
+                    message: format!("scenario {i}: {}", e.message),
+                    ..e.at(&format!("[{i}]"))
+                })
+            })
             .collect::<Result<Vec<_>, _>>()?;
-        let mut stimulus = Vec::new();
-        match item.get("stimulus") {
-            None => {}
-            Some(Json::Obj(members)) => {
-                for (name, stream) in members {
-                    let values = stream
-                        .as_arr()
-                        .ok_or_else(|| ctx("stimulus"))?
-                        .iter()
-                        .map(|x| x.as_f64().ok_or_else(|| ctx("stimulus")))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    stimulus.push((name.clone(), values));
-                }
-            }
-            Some(_) => return Err(ctx("stimulus")),
-        }
-        scenarios.push(Scenario {
-            index,
-            seed,
-            snr_db,
-            channel_taps,
-            samples,
-            stimulus,
-        });
+        Ok(ScenarioSet::from_scenarios(scenarios))
     }
-    Ok(ScenarioSet::from_scenarios(scenarios))
 }
 
-/// [`scenario_set_from_value`] over JSON text.
-///
-/// # Errors
-///
-/// [`SpecError`] on malformed JSON or a malformed scenario.
-pub fn scenario_set_from_json(text: &str) -> Result<ScenarioSet, SpecError> {
-    let v = Json::parse(text).map_err(|e| SpecError::new(format!("scenario set: {e}")))?;
-    scenario_set_from_value(&v)
+// ---------------------------------------------------------------------------
+// Simulator state persisted by checkpoints
+// ---------------------------------------------------------------------------
+
+/// The placeholder id carried by decoded analyses and overflow events
+/// until a resuming flow rebinds them by name against its design.
+pub fn unbound_id() -> SignalId {
+    SignalId::from_raw(u32::MAX)
+}
+
+fixref_obs::json_struct! {
+    SignalAnnotation { name, dtype as DTypeCodec, range as IntervalCodec, error_sigma }
+}
+
+fixref_obs::json_struct! {
+    SignalStats {
+        name,
+        stat as StatsCodec,
+        prop as IntervalCodec,
+        consumed as StatsCodec,
+        produced as StatsCodec,
+        overflows,
+        reads,
+        writes,
+        granularity,
+        non_dyadic,
+    }
+}
+
+fixref_obs::json_struct! {
+    OverflowEvent { skip signal = unbound_id(), name, value, cycle }
+}
+
+/// An [`Interval`] as `[lo, hi]`. Decoded as a raw pair (not via
+/// [`Interval::new`]) because the empty interval legitimately encodes
+/// as `["Infinity","-Infinity"]`.
+#[derive(Debug, Clone, Copy)]
+pub struct IntervalCodec;
+
+impl JsonCodec<Interval> for IntervalCodec {
+    fn write(value: &Interval, out: &mut String) {
+        (value.lo, value.hi).write_json(out);
+    }
+
+    fn read(v: &Json) -> Result<Interval, JsonError> {
+        let (lo, hi) = FromJson::from_json_value(v)?;
+        Ok(Interval { lo, hi })
+    }
+}
+
+/// A [`DType`] as `{"name","n","f","vt","ovf","rnd"}`, validated by
+/// [`DType::new`] on the way back in.
+#[derive(Debug, Clone, Copy)]
+pub struct DTypeCodec;
+
+impl JsonCodec<DType> for DTypeCodec {
+    fn write(value: &DType, out: &mut String) {
+        json::write_object(
+            out,
+            &[
+                ("name", &value.name()),
+                ("n", &value.n()),
+                ("f", &value.f()),
+                ("vt", &value.signedness().token()),
+                ("ovf", &value.overflow().token()),
+                ("rnd", &value.rounding().token()),
+            ],
+        );
+    }
+
+    fn read(v: &Json) -> Result<DType, JsonError> {
+        json::expect_object(v)?;
+        DType::new(
+            json::member::<String>(v, "name")?,
+            json::member(v, "n")?,
+            json::member(v, "f")?,
+            json::read_member(v, "vt", TokenCodec::read)?,
+            json::read_member(v, "ovf", TokenCodec::read)?,
+            json::read_member(v, "rnd", TokenCodec::read)?,
+        )
+        .map_err(|e| JsonError::decode(e.to_string()))
+    }
+}
+
+/// The monitor accumulators as their raw state arrays: [`RangeStats`]
+/// as `[min, max, count]`, [`ErrorStats`] as `[count, mean, m2, max]`.
+#[derive(Debug, Clone, Copy)]
+pub struct StatsCodec;
+
+impl JsonCodec<RangeStats> for StatsCodec {
+    fn write(value: &RangeStats, out: &mut String) {
+        value.to_raw().write_json(out);
+    }
+
+    fn read(v: &Json) -> Result<RangeStats, JsonError> {
+        let (min, max, count) = FromJson::from_json_value(v)?;
+        Ok(RangeStats::from_raw(min, max, count))
+    }
+}
+
+impl JsonCodec<ErrorStats> for StatsCodec {
+    fn write(value: &ErrorStats, out: &mut String) {
+        value.to_raw().write_json(out);
+    }
+
+    fn read(v: &Json) -> Result<ErrorStats, JsonError> {
+        let (count, mean, m2, max_abs) = FromJson::from_json_value(v)?;
+        Ok(ErrorStats::from_raw(count, mean, m2, max_abs))
+    }
+}
+
+/// The mode enums as their two-letter dtype tokens (`"tc"`, `"st"`,
+/// `"rd"`, …).
+#[derive(Debug, Clone, Copy)]
+pub struct TokenCodec;
+
+macro_rules! token_codec {
+    ($($ty:ty => [$($variant:expr),+]),+ $(,)?) => {$(
+        impl JsonCodec<$ty> for TokenCodec {
+            fn write(value: &$ty, out: &mut String) {
+                value.token().write_json(out);
+            }
+
+            fn read(v: &Json) -> Result<$ty, JsonError> {
+                json::read_token(v, &[$($variant),+], |t| t.token())
+            }
+        }
+    )+};
+}
+
+token_codec! {
+    Signedness => [Signedness::TwosComplement, Signedness::Unsigned],
+    OverflowMode => [OverflowMode::Wrap, OverflowMode::Saturate, OverflowMode::Error],
+    RoundingMode => [RoundingMode::Round, RoundingMode::Floor],
 }
 
 #[cfg(test)]
@@ -264,20 +287,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn design_spec_round_trips() {
+    fn design_spec_params_are_looked_up_by_name() {
         let spec = DesignSpec::new("lms")
-            .with_input_dtype("<7,5,tc,st,rd>")
             .with_param("taps", 3.0)
             .with_param("mu", 0.05);
-        let back = DesignSpec::from_json(&spec.to_json()).expect("parses");
-        assert_eq!(back, spec);
-        assert_eq!(back.param("mu"), Some(0.05));
-        assert_eq!(back.param("missing"), None);
-
-        let bare = DesignSpec::new("timing");
-        let back = DesignSpec::from_json(&bare.to_json()).expect("parses");
-        assert_eq!(back, bare);
-        assert_eq!(back.input_dtype, None);
+        assert_eq!(spec.param("mu"), Some(0.05));
+        assert_eq!(spec.param("missing"), None);
+        let bare = DesignSpec::from_json(r#"{"kind":"timing"}"#).expect("parses");
+        assert_eq!(bare, DesignSpec::new("timing"));
     }
 
     #[test]
@@ -289,23 +306,9 @@ mod tests {
     }
 
     #[test]
-    fn scenario_sets_round_trip_including_witness_stimulus() {
-        let grid = ScenarioSet::grid(&[1, 2], &[20.0, 28.0], &[vec![], vec![0.9, 0.1]], &[400]);
-        let back = scenario_set_from_json(&scenario_set_to_json(&grid)).expect("parses");
-        assert_eq!(back, grid);
-
-        let replay = ScenarioSet::replay(
-            3,
-            vec![("x".into(), vec![1.0, -1.0]), ("gain".into(), vec![0.5])],
-        );
-        let back = scenario_set_from_json(&scenario_set_to_json(&replay)).expect("parses");
-        assert_eq!(back, replay, "noiseless Infinity SNR survives");
-    }
-
-    #[test]
     fn scenario_indices_are_reassigned_in_order() {
         let set = ScenarioSet::grid(&[7, 8, 9], &[28.0], &[], &[100]);
-        let back = scenario_set_from_json(&scenario_set_to_json(&set)).expect("parses");
+        let back: ScenarioSet = json::decode(&json::encode(&set)).expect("parses");
         for (i, s) in back.iter().enumerate() {
             assert_eq!(s.index, i);
         }
@@ -313,10 +316,21 @@ mod tests {
 
     #[test]
     fn malformed_scenarios_are_structured_errors() {
-        assert!(scenario_set_from_json("{}").is_err());
-        assert!(scenario_set_from_json(r#"[{"seed":1}]"#).is_err());
-        let err = scenario_set_from_json(r#"[{"seed":1,"snr_db":"loud","samples":4}]"#)
+        assert!(json::decode::<ScenarioSet>("{}").is_err());
+        assert!(json::decode::<ScenarioSet>(r#"[{"seed":1}]"#).is_err());
+        let err = json::decode::<ScenarioSet>(r#"[{"seed":1,"snr_db":"loud","samples":4}]"#)
             .expect_err("mistyped snr");
         assert!(err.to_string().contains("scenario 0"), "{err}");
+    }
+
+    #[test]
+    fn invalid_dtypes_are_rejected_by_dtype_new() {
+        let doc = r#"{"name":"t","n":0,"f":0,"vt":"tc","ovf":"st","rnd":"rd"}"#;
+        let v = Json::parse(doc).expect("parses");
+        assert!(<DTypeCodec as JsonCodec<DType>>::read(&v).is_err());
+        let doc = r#"{"name":"t","n":8,"f":6,"vt":"xx","ovf":"st","rnd":"rd"}"#;
+        let err = <DTypeCodec as JsonCodec<DType>>::read(&Json::parse(doc).expect("parses"))
+            .expect_err("unknown token");
+        assert_eq!(err.path, "vt");
     }
 }

@@ -334,7 +334,7 @@ impl Model {
     /// [`Model::inputs`] entry), evaluate wires in topological order,
     /// evaluate register definitions against the *current* state, latch.
     /// Quantization at every typed assignment matches the simulator's
-    /// assignment pipeline ([`fixref_fixed::quantize`]); any typed wire or
+    /// assignment pipeline ([`fixref_fixed::quantize()`]); any typed wire or
     /// register whose assignment overflows is reported in
     /// [`StepOutput::overflows`].
     pub fn step(&self, state: &[i64], input_values: &[f64]) -> StepOutput {
