@@ -488,8 +488,9 @@ pub trait SimDriver {
     fn resume_invalidation(&mut self, _dirty: usize) {}
 }
 
-/// Which evaluation engine the closure-based drivers use for monitored
-/// simulations.
+/// Which evaluation engine [`SequentialDriver`] uses for monitored
+/// simulations. A [`SweepDriver`](crate::sweep::SweepDriver) always
+/// interprets.
 ///
 /// Every backend is bit-identical to [`SimBackend::Interpreted`] — same
 /// statistics, overflow events and journal counters — or it is not used:
@@ -523,9 +524,9 @@ impl SimBackend {
 
 /// A compiled program plus its run binding, held by a driver once the
 /// record iteration compiled successfully.
-pub(crate) struct CompiledUnit {
-    pub(crate) program: CompiledProgram,
-    pub(crate) trace: BoundTrace,
+struct CompiledUnit {
+    program: CompiledProgram,
+    trace: BoundTrace,
 }
 
 /// Attempts to lower the captured record iteration into a compiled unit,
@@ -533,10 +534,7 @@ pub(crate) struct CompiledUnit {
 /// static-schedule verdict, the lowering budget, and the bitwise
 /// verification replay. `Ok` carries the unit; `Err` carries the
 /// human-readable fallback reason.
-pub(crate) fn compile_capture(
-    design: &Design,
-    trace: &fixref_sim::ExecTrace,
-) -> Result<CompiledUnit, String> {
+fn compile_capture(design: &Design, trace: &fixref_sim::ExecTrace) -> Result<CompiledUnit, String> {
     let violations = fixref_lint::check_static_schedule(design);
     if !violations.is_empty() {
         return Err(format!(
@@ -615,11 +613,6 @@ impl<F: FnMut(&Design, usize)> SequentialDriver<F> {
     /// The driver's cache, when caching is enabled.
     pub fn cache(&self) -> Option<&EvalCache> {
         self.cache.as_ref()
-    }
-
-    /// Whether a compiled program is armed for subsequent iterations.
-    pub fn has_compiled_program(&self) -> bool {
-        self.compiled.is_some()
     }
 
     /// Journals the one-shot fallback-to-interpreted event.
@@ -883,9 +876,8 @@ impl RefinementFlow {
     /// [`Event::BackendFallback`]) whenever the design refuses a static
     /// schedule or the tape fails its verification replay. The refined
     /// types, statistics and journal counters are bit-identical across
-    /// backends. Swept entry points take their backend from their
-    /// [`SweepDriver`](crate::sweep::SweepDriver) (see
-    /// [`crate::sweep::SweepDriver::set_backend`]).
+    /// backends. A [`SweepDriver`](crate::sweep::SweepDriver) always
+    /// interprets.
     pub fn set_backend(&mut self, backend: SimBackend) {
         self.backend = backend;
     }
@@ -905,11 +897,6 @@ impl RefinementFlow {
         self.lint = config;
     }
 
-    /// The pre-flight lint gate's configuration.
-    pub fn lint_config(&self) -> &LintConfig {
-        &self.lint
-    }
-
     /// Turns on formal verification inside the pre-flight gate. Every
     /// checkable finding (FXL002/FXL004 overflow, FXL005 limit cycle) is
     /// model-checked with the given budgets: a finding *proved* safe no
@@ -919,11 +906,6 @@ impl RefinementFlow {
     /// findings keep their heuristic treatment.
     pub fn enable_verification(&mut self, options: VerifyOptions) {
         self.verify = Some(options);
-    }
-
-    /// The verification budgets, when verification is enabled.
-    pub fn verification(&self) -> Option<&VerifyOptions> {
-        self.verify.as_ref()
     }
 
     /// The pre-flight lint gate: lints the design right after the first
@@ -2159,47 +2141,6 @@ impl RefinementFlow {
             status,
             coverage: driver.coverage(),
         })
-    }
-
-    /// The full flow driven by the scenario-sweep engine: every
-    /// simulation fans out over the sweep's worker pool (one independent
-    /// design per scenario) and the refinement rules run on the merged
-    /// statistics. With a single scenario whose stimulus matches the
-    /// sequential closure, the outcome is bit-identical to
-    /// [`RefinementFlow::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FlowError::NotConverged`] from either phase.
-    pub fn run_swept(
-        &mut self,
-        sweep: &mut crate::sweep::SweepDriver,
-    ) -> Result<FlowOutcome, FlowError> {
-        self.run_with(sweep)
-    }
-
-    /// The MSB phase driven by the scenario-sweep engine.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RefinementFlow::run_msb`].
-    pub fn run_msb_swept(
-        &mut self,
-        sweep: &mut crate::sweep::SweepDriver,
-    ) -> Result<(Vec<Vec<MsbAnalysis>>, Vec<Intervention>), FlowError> {
-        self.run_msb_with(sweep)
-    }
-
-    /// The LSB phase driven by the scenario-sweep engine.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RefinementFlow::run_lsb`].
-    pub fn run_lsb_swept(
-        &mut self,
-        sweep: &mut crate::sweep::SweepDriver,
-    ) -> Result<(Vec<Vec<LsbAnalysis>>, Vec<Intervention>), FlowError> {
-        self.run_lsb_with(sweep)
     }
 }
 

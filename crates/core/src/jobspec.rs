@@ -20,7 +20,10 @@ use crate::flow::{RefinementFlow, RunBudget, SimBackend};
 /// How to drive the refinement flow for one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
-    /// Evaluation backend name: `"interpreted"` or `"compiled"`.
+    /// Evaluation backend name: `"interpreted"` or `"compiled"`. It
+    /// applies to sequential runs (`shards == 0`); a swept run always
+    /// interprets, and the job server rejects a swept spec naming any
+    /// other backend.
     pub backend: String,
     /// Whether to enable the cross-iteration evaluation cache.
     pub cache: bool,

@@ -38,7 +38,7 @@ use fixref_sim::{
 };
 
 use crate::cache::{plan_for, CachePlan};
-use crate::flow::{compile_capture, CompiledUnit, SimBackend, SimDriver, SimFault, SweepCoverage};
+use crate::flow::{SimDriver, SimFault, SweepCoverage};
 
 /// How the sweep reacts to a shard that fails all its attempts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -113,10 +113,6 @@ struct ShardResult {
     recorder: Arc<DefaultRecorder>,
     cycles: u64,
     wall_ns: u128,
-    /// The shard's lowered op tape (record iteration under a compiled
-    /// backend only): `Ok` carries the verified unit, `Err` the
-    /// human-readable fallback reason.
-    compiled: Option<Result<CompiledUnit, String>>,
 }
 
 /// One shard's monitors retained for cache replay. A Replay simulation
@@ -148,8 +144,12 @@ impl SweepCache {
 
 /// A [`SimDriver`] that runs every simulation as
 /// a parallel scenario sweep. See the module docs for the determinism
-/// contract; see [`RefinementFlow::run_swept`](crate::RefinementFlow::run_swept)
+/// contract; see [`RefinementFlow::run_with`](crate::RefinementFlow::run_with)
 /// for the typical entry point.
+///
+/// Every shard runs the interpreter: compiled replay
+/// ([`SimBackend::Compiled`](crate::flow::SimBackend::Compiled)) is a
+/// [`SequentialDriver`](crate::flow::SequentialDriver) feature.
 pub struct SweepDriver {
     scenarios: ScenarioSet,
     workers: usize,
@@ -161,12 +161,6 @@ pub struct SweepDriver {
     quarantined: BTreeSet<usize>,
     coverage: Option<SweepCoverage>,
     pending_invalidation: Option<usize>,
-    backend: SimBackend,
-    /// One verified compiled unit per scenario, indexed by scenario
-    /// index. Dropped whenever a new record iteration runs, a shard
-    /// fails, or a scenario is quarantined.
-    compiled: Option<Vec<CompiledUnit>>,
-    fallback_noted: bool,
 }
 
 impl std::fmt::Debug for SweepDriver {
@@ -193,50 +187,6 @@ impl SweepDriver {
             quarantined: BTreeSet::new(),
             coverage: None,
             pending_invalidation: None,
-            backend: SimBackend::default(),
-            compiled: None,
-            fallback_noted: false,
-        }
-    }
-
-    /// Selects the evaluation backend for this sweep.
-    ///
-    /// Under [`SimBackend::Compiled`] every shard of the record iteration
-    /// captures its execution trace, lowers it to a flat op tape, and
-    /// replays that tape on subsequent iterations instead of re-running
-    /// the stimulus. The merged statistics, refined types and journal are
-    /// bit-identical to the interpreted sweep (modulo the `backend.*`
-    /// events/counters themselves).
-    ///
-    /// The sweep falls back to the interpreter — journaling a one-shot
-    /// [`Event::BackendFallback`] — whenever fault injection is active,
-    /// a scenario is quarantined, lint's FXL001 static-schedule verdict
-    /// refuses a shard design, or a capture fails its verification
-    /// replay.
-    pub fn set_backend(&mut self, backend: SimBackend) {
-        self.backend = backend;
-    }
-
-    /// The selected evaluation backend.
-    pub fn backend(&self) -> SimBackend {
-        self.backend
-    }
-
-    /// Whether the record iteration produced compiled tapes that the
-    /// next simulations will replay.
-    pub fn has_compiled_program(&self) -> bool {
-        self.compiled.is_some()
-    }
-
-    /// Journals the one-shot fallback-to-interpreted event.
-    fn note_fallback(&mut self, recorder: &DefaultRecorder, reason: &str) {
-        if !self.fallback_noted {
-            self.fallback_noted = true;
-            recorder.record_event(Event::BackendFallback {
-                backend: self.backend.name().to_string(),
-                reason: reason.to_string(),
-            });
-            recorder.inc("backend.fallbacks", 1);
         }
     }
 
@@ -248,21 +198,11 @@ impl SweepDriver {
         };
     }
 
-    /// The active shard fault policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.fault_policy
-    }
-
     /// Installs a seeded fault plan (test seam): injected worker panics
     /// and NaN stimulus bursts fire deterministically on the configured
     /// shards and attempts.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         self.faults = plan;
-    }
-
-    /// Indices of the scenarios quarantined so far (degraded mode only).
-    pub fn quarantined(&self) -> Vec<usize> {
-        self.quarantined.iter().copied().collect()
     }
 
     /// Enables the incremental evaluation cache: simulations whose
@@ -326,16 +266,6 @@ impl SweepDriver {
     /// The scenario set.
     pub fn scenarios(&self) -> &ScenarioSet {
         &self.scenarios
-    }
-
-    /// The worker budget.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Changes the worker budget; the merged results are unaffected.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
     }
 
     /// Per-shard accounting of the most recent simulation (empty before
@@ -406,39 +336,7 @@ impl SimDriver for SweepDriver {
 
         if record_graph {
             design.clear_graph();
-            // A new record iteration supersedes any previously compiled
-            // tapes (the structural recording may have changed).
-            self.compiled = None;
         }
-
-        // An armed fault plan forces the interpreter: injected faults
-        // target the stimulus, which a compiled replay never calls.
-        let compiled_wanted = self.backend != SimBackend::Interpreted;
-        if compiled_wanted && !self.faults.is_empty() {
-            self.note_fallback(recorder, "fault injection is active");
-        }
-        let compiled_armed = compiled_wanted && self.faults.is_empty();
-        // The record iteration under a compiled backend captures every
-        // shard's execution trace for lowering; reduced coverage refuses
-        // the capture up front.
-        let capture_here = if compiled_armed && record_graph {
-            if self.quarantined.is_empty() {
-                true
-            } else {
-                self.note_fallback(recorder, "quarantined scenarios reduce coverage");
-                false
-            }
-        } else {
-            false
-        };
-        // Later iterations replay the compiled tapes in place of the
-        // stimulus.
-        let tapes = if compiled_armed {
-            self.compiled.as_deref()
-        } else {
-            None
-        };
-        let replaying = tapes.is_some();
 
         // Snapshot the master's refinement state once; every shard
         // re-applies it to its fresh design.
@@ -470,13 +368,9 @@ impl SimDriver for SweepDriver {
                 }
                 // Retries re-seed the scenario deterministically so a
                 // data-dependent failure is not replayed verbatim
-                // (attempt 0 keeps the original seed). A compiled replay
-                // re-executes the captured stimulus, so it keeps the seed
-                // the tape was captured under.
+                // (attempt 0 keeps the original seed).
                 let mut scenario = scenario.clone();
-                if !replaying {
-                    scenario.seed = faults.retry_seed(scenario.seed, attempt);
-                }
+                scenario.seed = faults.retry_seed(scenario.seed, attempt);
                 let shard_recorder = Arc::new(DefaultRecorder::new());
                 let ShardSim {
                     design: shard,
@@ -489,16 +383,10 @@ impl SimDriver for SweepDriver {
                 // Only one shard records a graph *for the master* — all
                 // shards execute the same description, so one structural
                 // recording suffices and the master inherits it below.
-                // Under a compiled backend every shard records privately:
-                // the capture's assign steps reference recorded nodes,
-                // and each shard lowers its own stimulus trace.
                 let record_here = record_graph && scenario.index == graph_shard;
-                if record_here || capture_here {
+                if record_here {
                     shard.clear_graph();
                     shard.record_graph(true);
-                }
-                if capture_here {
-                    shard.begin_capture();
                 }
                 if let Some(burst) = faults.nan_burst_for(scenario.index) {
                     // Poison the stimulus head with non-finite samples.
@@ -518,22 +406,10 @@ impl SimDriver for SweepDriver {
                         }
                     }
                 }
-                match tapes {
-                    Some(units) => {
-                        let unit = &units[scenario.index];
-                        shard.replay_compiled(&unit.program, &unit.trace);
-                    }
-                    None => stimulus(&shard, iteration),
-                }
-                if record_here || capture_here {
+                stimulus(&shard, iteration);
+                if record_here {
                     shard.record_graph(false);
                 }
-                let compiled = capture_here.then(|| {
-                    let trace = shard
-                        .end_capture()
-                        .expect("capture begun by this job is still active");
-                    compile_capture(&shard, &trace)
-                });
                 ShardResult {
                     stats: shard.export_stats(),
                     overflow_events: shard.take_overflow_events(),
@@ -541,7 +417,6 @@ impl SimDriver for SweepDriver {
                     recorder: shard_recorder,
                     cycles: shard.cycle(),
                     wall_ns: started.elapsed().as_nanos(),
-                    compiled,
                 }
             },
         );
@@ -554,9 +429,6 @@ impl SimDriver for SweepDriver {
         let mut completed = 0usize;
         let mut failures = 0usize;
         let mut retained: Vec<CachedShard> = Vec::with_capacity(outcomes.len());
-        let mut units: Vec<CompiledUnit> =
-            Vec::with_capacity(if capture_here { active.len() } else { 0 });
-        let mut compile_failure: Option<String> = None;
         for (scenario, outcome) in active.iter().zip(outcomes) {
             if self.faults.nan_burst_for(scenario.index).is_some() {
                 recorder.inc("fault.nan_bursts", 1);
@@ -572,13 +444,10 @@ impl SimDriver for SweepDriver {
                 });
                 recorder.inc("retry.attempts", 1);
             }
-            let mut result = match outcome {
+            let result = match outcome {
                 ShardOutcome::Completed { value, .. } => value,
                 ShardOutcome::Failed(failure) => {
                     failures += 1;
-                    // Replays are only trusted while they cover every
-                    // scenario.
-                    self.compiled = None;
                     recorder.record_event(Event::ShardFailed {
                         shard: scenario.index,
                         scenario: scenario.label(),
@@ -613,13 +482,6 @@ impl SimDriver for SweepDriver {
                 }
             };
             completed += 1;
-            match result.compiled.take() {
-                Some(Ok(unit)) => units.push(unit),
-                Some(Err(reason)) if compile_failure.is_none() => {
-                    compile_failure = Some(reason);
-                }
-                _ => {}
-            }
             recorder.record_event(Event::ShardStarted {
                 shard: scenario.index,
                 seed: scenario.seed,
@@ -654,31 +516,6 @@ impl SimDriver for SweepDriver {
                     cycles: result.cycles,
                     wall_ns: result.wall_ns,
                 });
-            }
-        }
-        if replaying {
-            recorder.inc("backend.compiled_runs", 1);
-        }
-        // A capture only becomes the sweep's compiled program when every
-        // scenario both survived and lowered: a compiled replay must cover
-        // exactly what the interpreter would have simulated.
-        if capture_here {
-            if failures == 0 && self.quarantined.is_empty() && units.len() == self.scenarios.len() {
-                for unit in &units {
-                    recorder.record_event(Event::BackendCompiled {
-                        backend: self.backend.name().to_string(),
-                        kinds: unit.program.kinds.len(),
-                        instructions: unit.program.instruction_count(),
-                        cycles: unit.trace.cycles,
-                    });
-                }
-                recorder.inc("backend.programs", units.len() as u64);
-                self.compiled = Some(units);
-            } else {
-                let reason = compile_failure.unwrap_or_else(|| {
-                    "record iteration lost shards before compilation".to_string()
-                });
-                self.note_fallback(recorder, &reason);
             }
         }
         self.coverage = Some(SweepCoverage {
@@ -761,7 +598,7 @@ mod tests {
     fn run_flow(driver: &mut SweepDriver) -> (Vec<(String, String)>, Vec<Event>) {
         let master = build_design();
         let mut flow = RefinementFlow::new(master.clone(), RefinePolicy::default());
-        let outcome = flow.run_swept(driver).expect("converges");
+        let outcome = flow.run_with(driver).expect("converges");
         let types = outcome
             .types
             .iter()
@@ -783,7 +620,7 @@ mod tests {
         let mut driver = sweep(ScenarioSet::single(7, 28.0, 400), 1);
         let swept_master = build_design();
         let mut swept_flow = RefinementFlow::new(swept_master.clone(), RefinePolicy::default());
-        let swept = swept_flow.run_swept(&mut driver).expect("converges");
+        let swept = swept_flow.run_with(&mut driver).expect("converges");
 
         assert_eq!(seq.types.len(), swept.types.len());
         for ((ida, ta), (idb, tb)) in seq.types.iter().zip(&swept.types) {
@@ -806,26 +643,6 @@ mod tests {
         let (types4, journal4) = run_flow(&mut sweep(scenarios, 4));
         assert_eq!(types1, types4);
         assert_eq!(journal1, journal4);
-    }
-
-    #[test]
-    fn compiled_backend_falls_back_under_fault_injection() {
-        let scenarios = ScenarioSet::grid(&[3, 5], &[24.0], &[], &[200]);
-        let mut driver = sweep(scenarios, 2);
-        driver.set_backend(SimBackend::Compiled);
-        driver.set_fault_policy(FaultPolicy {
-            mode: FaultMode::Strict,
-            max_attempts: 2,
-        });
-        driver.inject_faults(FaultPlan::seeded(9).panic_on(1, 0));
-        let (_, journal) = run_flow(&mut driver);
-        assert!(
-            !driver.has_compiled_program(),
-            "fault injection must refuse the capture"
-        );
-        assert!(journal
-            .iter()
-            .any(|e| matches!(e, Event::BackendFallback { .. })));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use fixref_core::{
     CheckpointStore, FaultMode, FaultPolicy, FlowError, FlowSpec, FlowStatus, JobSpec,
-    RefinePolicy, RefinementFlow, SweepDriver,
+    RefinePolicy, RefinementFlow, SimBackend, SweepDriver,
 };
 use fixref_obs::{DefaultRecorder, Event, MetricsReport, Recorder as _};
 use fixref_sim::{Design, FaultPlan, RetryPolicy, SpecError};
@@ -376,7 +376,8 @@ impl Server {
     }
 
     /// Submits a job. Admission control runs here: unknown design
-    /// kinds, full queues and tenant quota violations are rejected
+    /// kinds, unknown backends, a compiled backend on a swept job
+    /// (`shards > 0`), full queues and tenant quota violations are rejected
     /// with a reason instead of queued — the queue is bounded and the
     /// server never buffers unbounded work.
     ///
@@ -390,8 +391,20 @@ impl Server {
         if let Err(e) = self.registry.build(&spec.design) {
             return Err(self.reject(&spec.tenant, e.to_string()));
         }
-        if let Err(e) = spec.flow.sim_backend() {
-            return Err(self.reject(&spec.tenant, e.to_string()));
+        match spec.flow.sim_backend() {
+            Err(e) => return Err(self.reject(&spec.tenant, e.to_string())),
+            // A sweep always interprets: refuse the combination rather
+            // than silently run a compiled job interpreted.
+            Ok(backend) if backend != SimBackend::Interpreted && spec.flow.shards > 0 => {
+                return Err(self.reject(
+                    &spec.tenant,
+                    format!(
+                        "backend {:?} needs a sequential run (shards 0), got shards {}",
+                        spec.flow.backend, spec.flow.shards
+                    ),
+                ));
+            }
+            Ok(_) => {}
         }
         let mut st = self.lock();
         if st.crashed {
@@ -839,7 +852,7 @@ impl Server {
             if flow_spec.cache {
                 driver.enable_cache();
             }
-            flow.run_swept(&mut driver)
+            flow.run_with(&mut driver)
         };
 
         let journal = flow.journal();

@@ -122,12 +122,13 @@ impl FaultPlan {
         self.abort_after_checkpoint
     }
 
-    /// Deterministic re-seed for retry attempts that *want* fresh noise.
+    /// Deterministic re-seed for retry attempts.
     ///
-    /// The sweep engine itself retries with the scenario's original seed
-    /// (so a retry that succeeds is bit-identical to a fault-free run);
-    /// stimuli that instead want statistically independent noise per
-    /// attempt can derive it here. Attempt 0 returns `base` unchanged.
+    /// The sweep engine runs attempt `k` of a scenario under
+    /// `retry_seed(seed, k)`, so a data-dependent failure is not replayed
+    /// verbatim: a retry that succeeds merges the monitors of a
+    /// fault-free run whose scenario seed is the re-seed. Attempt 0
+    /// returns `base` unchanged.
     pub fn retry_seed(&self, base: u64, attempt: usize) -> u64 {
         if attempt == 0 {
             return base;

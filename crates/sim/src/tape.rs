@@ -23,9 +23,7 @@
 //!
 //! Lowering (graph + trace → program) lives in `fixref-codegen`; the
 //! replay executors live on [`Design`](crate::Design) because they drive
-//! the private assignment pipeline. Everything here is `Send` plain data,
-//! so scenario-sweep workers can compile in parallel and hand programs
-//! across threads.
+//! the private assignment pipeline. Everything here is plain data.
 
 use fixref_fixed::{DType, Interval};
 

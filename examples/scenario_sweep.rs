@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut sweep = SweepDriver::new(scenarios, workers, builder);
     let mut flow = RefinementFlow::new(design.clone(), RefinePolicy::default());
-    let outcome = flow.run_swept(&mut sweep)?;
+    let outcome = flow.run_with(&mut sweep)?;
 
     println!();
     println!(

@@ -7,10 +7,11 @@
 //! backend itself adds, which this suite strips before comparing).
 //!
 //! Coverage: direct capture→lower→verify→replay equality on all six
-//! example designs, plus flow-level comparisons for the LMS equalizer
-//! and the timing-recovery loop — sequential and swept, cache off and
-//! on. The swept worker count comes from `FIXREF_TEST_SHARDS` (the CI
-//! matrix sets 1, 2 and 8), defaulting to 2.
+//! example designs, plus sequential flow-level comparisons for the LMS
+//! equalizer (cache off and on) and the timing-recovery loop (whose
+//! FXL001 verdict forces the journaled fallback). Compiled replay is a
+//! `SequentialDriver` feature; a `SweepDriver` always interprets, so
+//! there is no swept backend to compare.
 
 use std::sync::Arc;
 
@@ -22,14 +23,11 @@ use fixref::dsp::{
     Awgn, Biquad, CicDecimator, LmsConfig, LmsEqualizer, TimingConfig, TimingRecovery,
 };
 use fixref::obs::{DefaultRecorder, Event, HistogramSummary};
-use fixref::refine::{RefinePolicy, RefinementFlow, SimBackend, SweepDriver};
-use fixref::sim::{
-    shard_count_from_env, BoundTrace, CompiledProgram, Design, OverflowEvent, ScenarioSet,
-    SignalStats,
-};
+use fixref::refine::{RefinePolicy, RefinementFlow, SimBackend};
+use fixref::sim::{BoundTrace, CompiledProgram, Design, OverflowEvent, ScenarioSet, SignalStats};
 use fixref_bench::{
-    lms_paper_scenario, lms_seed_grid, lms_shard_builder, paper_input_type, timing_shard_builder,
-    LMS_SNR_DB, TIMING_SNR_DB,
+    lms_paper_scenario, lms_shard_builder, paper_input_type, timing_shard_builder, LMS_SNR_DB,
+    TIMING_SNR_DB,
 };
 
 const LMS_SAMPLES: usize = 1200;
@@ -238,7 +236,7 @@ fn qam_ffe_replay_is_bit_identical() {
 }
 
 // ---------------------------------------------------------------------
-// Flow-level conformance: backends through RefinementFlow / SweepDriver.
+// Flow-level conformance: backends through RefinementFlow.
 // ---------------------------------------------------------------------
 
 /// Everything the outcome of a refinement run is judged by, with the
@@ -334,40 +332,6 @@ fn run_sequential(
     fingerprint(&design, flow.recorder(), &outcome)
 }
 
-/// Runs the full swept flow under the given driver backend.
-/// `expect_compiled` pins whether the sweep must actually compile its
-/// scenario tapes (designs that refuse the FXL001 gate, like the timing
-/// loop, run the journaled fallback instead and must NOT compile).
-fn run_swept(
-    builder: Box<fixref::refine::ShardBuilder>,
-    force_saturate: &[&str],
-    scenarios: &ScenarioSet,
-    workers: usize,
-    backend: SimBackend,
-    cache: bool,
-    expect_compiled: bool,
-) -> Fingerprint {
-    let master = builder(&scenarios.as_slice()[0]).design;
-    let mut flow = RefinementFlow::new(master.clone(), RefinePolicy::default());
-    if cache {
-        flow.enable_cache();
-    }
-    for name in force_saturate {
-        flow.force_saturate(master.find(name).expect("declared"));
-    }
-    let mut sweep = SweepDriver::new(scenarios.clone(), workers, builder);
-    sweep.set_backend(backend);
-    let outcome = flow.run_swept(&mut sweep).expect("swept flow converges");
-    if backend != SimBackend::Interpreted {
-        assert_eq!(
-            sweep.has_compiled_program(),
-            expect_compiled,
-            "sweep compiled-tape state disagrees with what this design must do"
-        );
-    }
-    fingerprint(&master, flow.recorder(), &outcome)
-}
-
 #[test]
 fn lms_sequential_compiled_matches_interpreted() {
     let set = lms_paper_scenario(LMS_SAMPLES);
@@ -410,105 +374,4 @@ fn timing_sequential_compiled_matches_interpreted() {
         false,
     );
     assert_eq!(interpreted, compiled);
-}
-
-#[test]
-fn lms_swept_backends_match_interpreted() {
-    let set = lms_seed_grid(3, LMS_SAMPLES);
-    let workers = shard_count_from_env(2);
-    let interpreted = run_swept(
-        lms_shard_builder(lms_config()),
-        &[],
-        &set,
-        workers,
-        SimBackend::Interpreted,
-        false,
-        false,
-    );
-    let compiled = run_swept(
-        lms_shard_builder(lms_config()),
-        &[],
-        &set,
-        workers,
-        SimBackend::Compiled,
-        false,
-        true,
-    );
-    assert_eq!(interpreted, compiled);
-    assert!(!interpreted.types.is_empty(), "refinement decided types");
-}
-
-#[test]
-fn lms_swept_batched_matches_interpreted_with_cache() {
-    let set = lms_seed_grid(3, LMS_SAMPLES);
-    let workers = shard_count_from_env(2);
-    let interpreted = run_swept(
-        lms_shard_builder(lms_config()),
-        &[],
-        &set,
-        workers,
-        SimBackend::Interpreted,
-        true,
-        false,
-    );
-    let compiled = run_swept(
-        lms_shard_builder(lms_config()),
-        &[],
-        &set,
-        workers,
-        SimBackend::Compiled,
-        true,
-        true,
-    );
-    assert_eq!(interpreted, compiled);
-}
-
-#[test]
-fn timing_swept_batched_matches_interpreted() {
-    let saturate = ["terr", "lp", "lferr", "step", "mu"];
-    let set = ScenarioSet::grid(&[31, 32], &[TIMING_SNR_DB], &[], &[TIMING_SAMPLES]);
-    let workers = shard_count_from_env(2);
-    let interpreted = run_swept(
-        timing_shard_builder(timing_config()),
-        &saturate,
-        &set,
-        workers,
-        SimBackend::Interpreted,
-        false,
-        false,
-    );
-    let compiled = run_swept(
-        timing_shard_builder(timing_config()),
-        &saturate,
-        &set,
-        workers,
-        SimBackend::Compiled,
-        false,
-        false,
-    );
-    assert_eq!(interpreted, compiled);
-}
-
-#[test]
-fn batched_sweep_is_invariant_under_shard_count() {
-    let set = lms_seed_grid(3, LMS_SAMPLES);
-    let one = run_swept(
-        lms_shard_builder(lms_config()),
-        &[],
-        &set,
-        1,
-        SimBackend::Compiled,
-        false,
-        true,
-    );
-    let many = run_swept(
-        lms_shard_builder(lms_config()),
-        &[],
-        &set,
-        shard_count_from_env(2),
-        SimBackend::Compiled,
-        false,
-        true,
-    );
-    assert_eq!(one, many);
 }

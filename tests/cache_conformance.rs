@@ -142,7 +142,7 @@ fn run_swept(
     if cached {
         sweep.enable_cache();
     }
-    let outcome = flow.run_swept(&mut sweep).expect("swept flow converges");
+    let outcome = flow.run_with(&mut sweep).expect("swept flow converges");
     let (hits, _misses) = sweep.cache_stats();
     CachedRun {
         fingerprint: fingerprint(&master, &flow, &outcome),

@@ -282,7 +282,7 @@ fn swept_flow_resume_is_bit_identical_across_worker_counts() {
         flow.checkpoint_to(tmp("swept_cold"));
         let mut driver = SweepDriver::new(set.clone(), workers, lms_shard_builder(lms_config()));
         driver.enable_cache();
-        let outcome = flow.run_swept(&mut driver).expect("cold sweep converges");
+        let outcome = flow.run_with(&mut driver).expect("cold sweep converges");
         trace(&master, &flow, &outcome)
     };
 
@@ -296,7 +296,7 @@ fn swept_flow_resume_is_bit_identical_across_worker_counts() {
         flow.set_fault_plan(FaultPlan::seeded(1).abort_after_checkpoint(1));
         let mut driver = SweepDriver::new(set.clone(), workers, lms_shard_builder(lms_config()));
         driver.enable_cache();
-        let err = flow.run_swept(&mut driver).expect_err("interrupt fires");
+        let err = flow.run_with(&mut driver).expect_err("interrupt fires");
         assert!(matches!(err, FlowError::Interrupted { checkpoint: 1 }));
     }
     let resumed = {
@@ -305,9 +305,7 @@ fn swept_flow_resume_is_bit_identical_across_worker_counts() {
             .expect("swept checkpoint resumes");
         let mut driver = SweepDriver::new(set.clone(), workers, lms_shard_builder(lms_config()));
         driver.enable_cache();
-        let outcome = flow
-            .run_swept(&mut driver)
-            .expect("resumed sweep converges");
+        let outcome = flow.run_with(&mut driver).expect("resumed sweep converges");
         trace(&master, &flow, &outcome)
     };
     assert_bit_identical(&cold, &resumed);

@@ -18,7 +18,9 @@ use fixref::refine::{
     SweepDriver,
 };
 use fixref::sim::{shard_count_from_env, FaultPlan, ScenarioSet};
-use fixref_bench::{lms_paper_scenario, lms_seed_grid, lms_shard_builder, paper_input_type};
+use fixref_bench::{
+    lms_paper_scenario, lms_seed_grid, lms_shard_builder, paper_input_type, LMS_SNR_DB,
+};
 use fixref_dsp::LmsConfig;
 
 const SAMPLES: usize = 400;
@@ -49,7 +51,7 @@ fn strict_mode_fails_fast_naming_the_scenario() {
     driver.inject_faults(FaultPlan::seeded(41).panic_on(1, 0));
     let mut flow = flow_for(&driver);
 
-    let err = flow.run_swept(&mut driver).expect_err("shard 1 panics");
+    let err = flow.run_with(&mut driver).expect_err("shard 1 panics");
     match &err {
         FlowError::ShardFailed {
             shard,
@@ -87,7 +89,7 @@ fn degraded_mode_quarantines_and_reports_seven_of_eight_coverage() {
     let mut flow = flow_for(&driver);
 
     let outcome = flow
-        .run_swept(&mut driver)
+        .run_with(&mut driver)
         .expect("degraded sweep completes best-effort");
 
     let coverage = outcome.coverage.expect("sweep reports coverage");
@@ -133,7 +135,7 @@ fn transient_fault_is_retried_and_the_sweep_completes_fully() {
         });
         driver.inject_faults(plan.clone());
         let mut flow = flow_for(&driver);
-        let outcome = flow.run_swept(&mut driver).expect("retry recovers");
+        let outcome = flow.run_with(&mut driver).expect("retry recovers");
         (outcome, flow.journal())
     };
 
@@ -160,6 +162,35 @@ fn transient_fault_is_retried_and_the_sweep_completes_fully() {
 }
 
 #[test]
+fn a_retry_merges_the_monitors_of_the_re_seeded_scenario() {
+    let plan = FaultPlan::seeded(99).panic_on(1, 0); // attempt 0 only
+    let retried_seed = plan.retry_seed(8, 1);
+    assert_ne!(retried_seed, 8, "the retry draws a fresh seed");
+    let run = |seeds: &[u64], plan: FaultPlan| {
+        let scenarios = ScenarioSet::grid(seeds, &[LMS_SNR_DB], &[], &[SAMPLES]);
+        let mut driver = sweep(scenarios);
+        driver.set_fault_policy(FaultPolicy {
+            mode: FaultMode::Strict,
+            max_attempts: 2,
+        });
+        driver.inject_faults(plan);
+        let master = lms_shard_builder(lms_config())(&driver.scenarios().as_slice()[0]).design;
+        let mut flow = RefinementFlow::new(master.clone(), RefinePolicy::default());
+        let outcome = flow.run_with(&mut driver).expect("sweep converges");
+        (outcome.types, master.export_stats())
+    };
+
+    let retried = run(&[7, 8, 9], plan);
+    let reseeded = run(&[7, retried_seed, 9], FaultPlan::default());
+    let original = run(&[7, 8, 9], FaultPlan::default());
+    assert_eq!(
+        retried, reseeded,
+        "the retry ran scenario 1 under its re-seed"
+    );
+    assert_ne!(retried.1, original.1, "the re-seed changes the monitors");
+}
+
+#[test]
 fn nan_stimulus_burst_fails_the_shard_structurally() {
     // The engine's range propagation rejects non-finite bounds, so a
     // NaN-poisoned shard fails *inside the isolation boundary* instead of
@@ -168,7 +199,7 @@ fn nan_stimulus_burst_fails_the_shard_structurally() {
     driver.inject_faults(FaultPlan::seeded(7).nan_burst(1, 16));
     let mut flow = flow_for(&driver);
     let err = flow
-        .run_swept(&mut driver)
+        .run_with(&mut driver)
         .expect_err("poisoned shard fails");
     match &err {
         FlowError::ShardFailed { shard, cause, .. } => {
@@ -190,7 +221,7 @@ fn degraded_mode_survives_a_nan_burst_with_reduced_coverage() {
     driver.inject_faults(FaultPlan::seeded(7).nan_burst(1, 16));
     let mut flow = flow_for(&driver);
     let outcome = flow
-        .run_swept(&mut driver)
+        .run_with(&mut driver)
         .expect("surviving shard carries the flow");
     let coverage = outcome.coverage.expect("coverage reported");
     assert_eq!(coverage.summary(), "1 of 2 scenarios");

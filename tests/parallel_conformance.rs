@@ -94,7 +94,7 @@ fn run_swept(
         flow.force_saturate(master.find(name).expect("declared"));
     }
     let mut sweep = SweepDriver::new(scenarios.clone(), workers, builder);
-    let outcome = flow.run_swept(&mut sweep).expect("swept flow converges");
+    let outcome = flow.run_with(&mut sweep).expect("swept flow converges");
     fingerprint(&master, &flow, &outcome)
 }
 

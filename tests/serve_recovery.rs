@@ -242,6 +242,37 @@ fn admission_control_rejects_instead_of_buffering() {
 }
 
 #[test]
+fn swept_jobs_asking_for_the_compiled_backend_are_rejected() {
+    let server =
+        Server::open(ServerConfig::new(data_dir("admission_swept_backend"))).expect("opens");
+    let swept_compiled = server
+        .submit(lms_job(
+            "acme",
+            FlowSpec {
+                backend: "compiled".into(),
+                shards: 2,
+                ..FlowSpec::default()
+            },
+        ))
+        .expect_err("a sweep cannot run the compiled backend");
+    assert!(
+        swept_compiled.reason.contains("compiled") && swept_compiled.reason.contains("shards"),
+        "{swept_compiled}"
+    );
+    assert_eq!(server.queue_depth(), 0);
+    // The same backend on a sequential run is admitted.
+    server
+        .submit(lms_job(
+            "acme",
+            FlowSpec {
+                backend: "compiled".into(),
+                ..FlowSpec::default()
+            },
+        ))
+        .expect("sequential compiled job fits");
+}
+
+#[test]
 fn cancelled_queued_jobs_stay_cancelled_across_restart() {
     let dir = data_dir("cancel_queued");
     let server = Server::open(ServerConfig::new(&dir)).expect("opens");
