@@ -10,17 +10,21 @@
 //!   `Value` operator allocates expression-trace nodes and interns them
 //!   into the graph;
 //! * **interpreted** — the steady-state iteration (recording off): the
-//!   host-code stimulus walk with per-assignment registry counters;
+//!   host-code stimulus walk, one registry borrow per read and
+//!   assignment;
 //! * **compiled** — the captured execution trace lowered to a flat op
 //!   tape and replayed through [`Design::replay_compiled`]: one borrow
-//!   for the whole run, no stimulus regeneration, monitors folded through
-//!   a buffered sink.
+//!   for the whole run and no stimulus regeneration. Both paths buffer
+//!   their monitor side effects the same way and flush them at each
+//!   clock edge.
 //!
-//! The headline `first_iteration_speedup` compares the compiled replay
-//! against the first-iteration cost it displaces whenever the same
-//! workload is re-executed (sweep shards, cache replays, search probes);
-//! `steady_speedup` is the more conservative recording-off comparison,
-//! reported alongside so neither number hides the other.
+//! `steady_speedup` is the gated number: the tape replaces steady
+//! interpreted iterations, so the `compile` bin fails when it is below
+//! 1.0 (the tape loses to the interpreter). `first_iteration_speedup`
+//! compares the replay against the cost of the recording iteration; it
+//! is reported but not gated, because it measures how expensive
+//! recording is rather than how fast the tape is, and it shrinks
+//! whenever recording gets cheaper.
 //!
 //! The timing follows the repo's interleaved-repeat methodology (see
 //! `faultbench`): the variants alternate within each repeat so a
@@ -56,9 +60,9 @@ pub struct CompileBenchResult {
     pub interpreted_ns: u128,
     /// Best wall time of the compiled replay, nanoseconds.
     pub compiled_ns: u128,
-    /// `first_iteration_ns / compiled_ns` — the headline.
+    /// `first_iteration_ns / compiled_ns` (reported, not gated).
     pub first_iteration_speedup: f64,
-    /// `interpreted_ns / compiled_ns` — the conservative comparison.
+    /// `interpreted_ns / compiled_ns` — the gated comparison.
     pub steady_speedup: f64,
     /// Cycles every variant simulated (they must agree).
     pub cycles: u64,

@@ -684,7 +684,7 @@ impl<F: FnMut(&Design, usize)> SimDriver for SequentialDriver<F> {
         design.reset_stats();
         design.reset_state();
         let compiled_wanted = self.backend != SimBackend::Interpreted;
-        Ok(match plan {
+        let cycles = match plan {
             CachePlan::Replay => {
                 let cache = self.cache.as_mut().expect("replay implies a cache");
                 let cycles = cache.replay(design);
@@ -711,7 +711,10 @@ impl<F: FnMut(&Design, usize)> SimDriver for SequentialDriver<F> {
                 }
                 design.cycle()
             }
-        })
+        };
+        // Assignments after the stimulus's last tick are still buffered.
+        design.flush_recorder();
+        Ok(cycles)
     }
 }
 

@@ -407,6 +407,7 @@ impl SimDriver for SweepDriver {
                     }
                 }
                 stimulus(&shard, iteration);
+                shard.flush_recorder();
                 if record_here {
                     shard.record_graph(false);
                 }

@@ -380,12 +380,12 @@ impl Recorder for DefaultRecorder {
         let mut inner = self.lock();
         // Same sequential fold as `observe`, one value at a time
         // (including the first-observation insert), so a buffered flush is
-        // bitwise identical to per-assignment recording.
-        use std::collections::hash_map::Entry;
-        let (h, tail) = match inner.hists.entry(name.to_string()) {
-            Entry::Occupied(e) => (e.into_mut(), values),
-            Entry::Vacant(e) => (
-                e.insert(Hist {
+        // bitwise identical to per-assignment recording. The name is only
+        // allocated when the histogram is new.
+        let (h, tail) = match inner.hists.get_mut(name) {
+            Some(h) => (h, values),
+            None => (
+                inner.hists.entry(name.to_string()).or_insert(Hist {
                     count: 1,
                     sum: first,
                     min: first,
@@ -501,6 +501,28 @@ mod tests {
         // Empty flush is a no-op and never creates the histogram.
         c.observe_seq("empty", &[]);
         assert!(c.histogram("empty").is_none());
+    }
+
+    #[test]
+    fn observe_seq_into_an_existing_histogram_is_bitwise_one_at_a_time() {
+        // Values whose running sum rounds differently under reassociation,
+        // plus signed zeros, so any change in fold order shows in the bits.
+        let values = [1e16, 1.0, -1e16, 0.1, -0.0, 0.0, 3.0e-17, -2.5];
+        let a = DefaultRecorder::new();
+        let b = DefaultRecorder::new();
+        a.observe("h", -0.0);
+        b.observe("h", -0.0);
+        for v in values {
+            a.observe("h", v);
+        }
+        for chunk in values.chunks(3) {
+            b.observe_seq("h", chunk);
+        }
+        let (ha, hb) = (a.histogram("h").unwrap(), b.histogram("h").unwrap());
+        assert_eq!(ha.count, hb.count);
+        assert_eq!(ha.sum.to_bits(), hb.sum.to_bits());
+        assert_eq!(ha.min.to_bits(), hb.min.to_bits());
+        assert_eq!(ha.max.to_bits(), hb.max.to_bits());
     }
 
     #[test]

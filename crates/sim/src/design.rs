@@ -254,6 +254,8 @@ struct DesignInner {
     /// tick appends a step here. Requires graph recording, which supplies
     /// the expression roots the steps refer to.
     capture: Option<CaptureBuf>,
+    /// The attached recorder and the monitor side effects buffered for it.
+    monitor: MonitorSink,
 }
 
 /// In-flight capture state between [`Design::begin_capture`] and
@@ -286,11 +288,6 @@ struct CaptureBuf {
 #[derive(Clone)]
 pub struct Design {
     inner: Rc<RefCell<DesignInner>>,
-    /// Optional observability sink: ticks, assignments, overflow and
-    /// saturation counters, per-signal quantization-error histograms and
-    /// `OverflowDetected` events all land here when attached. Kept apart
-    /// from the registry so an assignment can borrow both at once.
-    recorder: Rc<RefCell<Option<Arc<dyn Recorder>>>>,
 }
 
 impl fmt::Debug for Design {
@@ -333,8 +330,8 @@ impl Design {
                 dirty: BTreeSet::new(),
                 static_schedule: false,
                 capture: None,
+                monitor: MonitorSink::default(),
             })),
-            recorder: Rc::default(),
         }
     }
 
@@ -347,18 +344,34 @@ impl Design {
     /// [`Event::OverflowDetected`]. Detach by attaching a fresh recorder
     /// or with [`Design::detach_recorder`]; simulation behavior is
     /// unchanged either way.
+    ///
+    /// The design buffers these side effects and delivers them at every
+    /// [`Design::tick`], at the end of [`Design::replay_compiled`], on
+    /// [`Design::flush_recorder`], when the recorder is detached or
+    /// replaced, and when the design is dropped. The recorder
+    /// ends up with exactly the counters, histograms and journal that
+    /// per-assignment delivery would have produced.
     pub fn attach_recorder(&self, recorder: Arc<dyn Recorder>) {
-        *self.recorder.borrow_mut() = Some(recorder);
+        self.inner.borrow_mut().monitor.attach(Some(recorder));
     }
 
-    /// Removes the attached recorder, if any.
+    /// Removes the attached recorder, if any, after flushing it.
     pub fn detach_recorder(&self) {
-        *self.recorder.borrow_mut() = None;
+        self.inner.borrow_mut().monitor.attach(None);
     }
 
-    /// The currently attached recorder, if any.
+    /// The currently attached recorder, if any, after flushing it.
     pub fn recorder(&self) -> Option<Arc<dyn Recorder>> {
-        self.recorder.borrow().clone()
+        let mut inner = self.inner.borrow_mut();
+        inner.monitor.flush();
+        inner.monitor.recorder.clone()
+    }
+
+    /// Delivers the monitor side effects buffered since the last clock
+    /// edge (assignments after the final [`Design::tick`] of a run) to the
+    /// attached recorder. Simulation drivers call this before returning.
+    pub fn flush_recorder(&self) {
+        self.inner.borrow_mut().monitor.flush();
     }
 
     fn add_signal(&self, name: &str, kind: SignalKind, dtype: Option<DType>) -> SignalId {
@@ -536,9 +549,7 @@ impl Design {
         if let Some(cap) = &mut inner.capture {
             cap.steps.push(TraceStep::Tick);
         }
-        if let Some(rec) = self.recorder.borrow().as_deref() {
-            rec.inc("sim.ticks", 1);
-        }
+        inner.monitor.flush();
     }
 
     /// The current cycle (number of [`Design::tick`] calls).
@@ -547,8 +558,10 @@ impl Design {
     }
 
     /// Enables or disables signal-flow-graph recording. Typically enabled
-    /// for the first iteration of a stimulus loop only, since repeated
-    /// executions intern to the same nodes anyway but cost allocations.
+    /// for the first iteration of a stimulus loop only: repeated
+    /// executions intern to the same nodes, but every recorded operation
+    /// still builds an expression trace and looks its nodes up in the
+    /// graph's intern table.
     pub fn record_graph(&self, on: bool) {
         self.inner.borrow_mut().recording = on;
     }
@@ -1165,8 +1178,7 @@ impl Design {
     fn assign(&self, id: SignalId, value: Value) {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        let recorder = self.recorder.borrow();
-        assign_monitored(inner, &mut RecorderSink(recorder.as_deref()), id, &value);
+        assign_monitored(inner, id, &value);
 
         // Signal-flow graph. A value with no expression trace (a literal,
         // or one built before recording was enabled) records as a constant
@@ -1196,8 +1208,8 @@ impl Design {
     /// assignment pipeline (quantization, range stats, propagation, error
     /// injection from the live RNG stream), read counts are spliced from
     /// the capture, and recorder counters / quantization-error histograms
-    /// / overflow events are flushed once at the end through the same
-    /// fold order the interpreter would have produced. Types, range
+    /// / overflow events are buffered and flushed once at the end (the
+    /// replay is one call, so no reader can see the recorder in between). Types, range
     /// overrides and error models are read *live*, so one tape survives
     /// annotation changes between refinement iterations.
     ///
@@ -1211,37 +1223,29 @@ impl Design {
     /// (wrong signal ids, malformed stack discipline) — callers are
     /// expected to have proven the pair with [`Design::verify_compiled`].
     pub fn replay_compiled(&self, program: &CompiledProgram, trace: &BoundTrace) -> u64 {
-        let (cycles, flush) = {
-            let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
-            let mut sink = ReplaySink::new(inner.signals.len());
-            let mut stack: Vec<Value> = Vec::with_capacity(program.max_stack());
-            let mut cursor = 0usize;
-            for seg in &trace.schedule {
-                let kind = &program.kinds[seg.kind as usize];
-                replay_segment(
-                    inner,
-                    &mut sink,
-                    kind,
-                    &program.dtypes,
-                    &trace.inputs,
-                    &mut cursor,
-                    &mut stack,
-                );
-                if seg.tick_after {
-                    clock_edge(inner);
-                    sink.ticks += 1;
-                }
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let mut stack: Vec<Value> = Vec::with_capacity(program.max_stack());
+        let mut cursor = 0usize;
+        for seg in &trace.schedule {
+            let kind = &program.kinds[seg.kind as usize];
+            replay_segment(
+                inner,
+                kind,
+                &program.dtypes,
+                &trace.inputs,
+                &mut cursor,
+                &mut stack,
+            );
+            if seg.tick_after {
+                clock_edge(inner);
             }
-            for (st, &reads) in inner.signals.iter_mut().zip(&trace.reads) {
-                st.reads = reads;
-            }
-            (inner.cycle, sink.into_flush(inner))
-        };
-        if let Some(rec) = self.recorder.borrow().as_deref() {
-            flush.apply(rec);
         }
-        cycles
+        for (st, &reads) in inner.signals.iter_mut().zip(&trace.reads) {
+            st.reads = reads;
+        }
+        inner.monitor.flush();
+        inner.cycle
     }
 
     /// Replays `(program, trace)` against scratch state to prove the tape
@@ -1410,168 +1414,130 @@ impl Design {
     }
 }
 
-/// Where the monitored assignment sends its recorder-facing side effects:
-/// straight to the recorder ([`RecorderSink`], the interpreter) or into a
-/// buffer flushed once after a compiled replay ([`ReplaySink`]).
-trait MonitorSink {
-    /// One monitored assignment (`sim.assignments`).
-    fn assignment(&mut self);
-    /// The quantization error of one typed assignment
-    /// (`sim.quant_error.<name>`).
-    fn quant_error(&mut self, id: SignalId, name: &str, error: f64);
-    /// A quantization overflow (`sim.saturations` / `sim.overflows`).
-    fn overflow(&mut self, mode: OverflowMode);
-    /// An overflow on an [`OverflowMode::Error`] type
-    /// ([`Event::OverflowDetected`]).
-    fn overflow_detected(&mut self, name: &str, value: f64, cycle: u64);
+/// The recorder-facing side effects of monitored assignments, buffered
+/// between flushes: the interpreter and compiled replay both feed it. It
+/// delivers everything to the attached recorder at each
+/// [`Design::tick`], at the end of a compiled replay, on an explicit
+/// flush, when the recorder is detached or replaced, and when the design
+/// is dropped. Per-signal quantization errors are
+/// flushed with [`Recorder::observe_seq`] in assignment order, so the
+/// recorder's histograms are bitwise what per-assignment `observe` calls
+/// would have built; counters are sums, and events keep their order.
+#[derive(Default)]
+struct MonitorSink {
+    recorder: Option<Arc<dyn Recorder>>,
+    assignments: u64,
+    saturations: u64,
+    overflows: u64,
+    ticks: u64,
+    /// Per signal: its `sim.quant_error.<name>` metric, resolved on first
+    /// use, and the observations buffered since the last flush.
+    quant: Vec<(String, Vec<f64>)>,
+    /// Signals with buffered observations, in first-observation order.
+    pending: Vec<u32>,
+    events: Vec<Event>,
 }
 
-/// The interpreter's sink: every call goes straight to the attached
-/// recorder, if any.
-struct RecorderSink<'a>(Option<&'a dyn Recorder>);
+impl MonitorSink {
+    /// Flushes into the current recorder, then switches to `recorder`.
+    fn attach(&mut self, recorder: Option<Arc<dyn Recorder>>) {
+        self.flush();
+        self.recorder = recorder;
+    }
 
-impl MonitorSink for RecorderSink<'_> {
+    /// One monitored assignment (`sim.assignments`).
     fn assignment(&mut self) {
-        if let Some(rec) = self.0 {
-            rec.inc("sim.assignments", 1);
+        if self.recorder.is_some() {
+            self.assignments += 1;
         }
     }
 
-    fn quant_error(&mut self, _id: SignalId, name: &str, error: f64) {
-        if let Some(rec) = self.0 {
-            rec.observe(&format!("sim.quant_error.{name}"), error);
+    /// The quantization error of one typed assignment
+    /// (`sim.quant_error.<name>`).
+    fn quant_error(&mut self, id: SignalId, name: &str, error: f64) {
+        if self.recorder.is_none() {
+            return;
         }
+        let i = id.0 as usize;
+        if i >= self.quant.len() {
+            self.quant.resize_with(i + 1, Default::default);
+        }
+        let (metric, values) = &mut self.quant[i];
+        if values.is_empty() {
+            if metric.is_empty() {
+                *metric = format!("sim.quant_error.{name}");
+            }
+            self.pending.push(id.0);
+        }
+        values.push(error);
     }
 
+    /// A quantization overflow (`sim.saturations` / `sim.overflows`).
     fn overflow(&mut self, mode: OverflowMode) {
-        if let Some(rec) = self.0 {
+        if self.recorder.is_some() {
             match mode {
-                OverflowMode::Saturate => rec.inc("sim.saturations", 1),
-                _ => rec.inc("sim.overflows", 1),
+                OverflowMode::Saturate => self.saturations += 1,
+                _ => self.overflows += 1,
             }
         }
     }
 
+    /// An overflow on an [`OverflowMode::Error`] type
+    /// ([`Event::OverflowDetected`]).
     fn overflow_detected(&mut self, name: &str, value: f64, cycle: u64) {
-        if let Some(rec) = self.0 {
-            rec.record_event(Event::OverflowDetected {
+        if self.recorder.is_some() {
+            self.events.push(Event::OverflowDetected {
                 signal: name.to_string(),
                 value,
                 cycle,
             });
         }
     }
-}
 
-/// Monitor side effects of a compiled replay, buffered while the single
-/// design borrow is held and flushed to the recorder afterwards in the
-/// same per-name order the interpreter would have produced.
-struct ReplaySink {
-    assignments: u64,
-    saturations: u64,
-    overflows: u64,
-    ticks: u64,
-    /// Per-signal quantization-error observations, in assignment order.
-    quant: Vec<Vec<f64>>,
-    events: Vec<Event>,
-}
-
-impl ReplaySink {
-    fn new(num_signals: usize) -> Self {
-        ReplaySink {
-            assignments: 0,
-            saturations: 0,
-            overflows: 0,
-            ticks: 0,
-            quant: vec![Vec::new(); num_signals],
-            events: Vec::new(),
+    /// A clock edge (`sim.ticks`).
+    fn tick(&mut self) {
+        if self.recorder.is_some() {
+            self.ticks += 1;
         }
     }
 
-    fn into_flush(self, inner: &DesignInner) -> ReplayFlush {
-        let observes = self
-            .quant
-            .into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(i, v)| (format!("sim.quant_error.{}", inner.signals[i].name), v))
-            .collect();
-        ReplayFlush {
-            assignments: self.assignments,
-            saturations: self.saturations,
-            overflows: self.overflows,
-            ticks: self.ticks,
-            observes,
-            events: self.events,
+    /// Delivers everything buffered to the recorder. Counters are sent
+    /// only when nonzero so an untouched counter stays absent, exactly as
+    /// under per-assignment `inc` calls.
+    fn flush(&mut self) {
+        let Some(rec) = self.recorder.as_deref() else {
+            return;
+        };
+        for (name, count) in [
+            ("sim.assignments", &mut self.assignments),
+            ("sim.saturations", &mut self.saturations),
+            ("sim.overflows", &mut self.overflows),
+            ("sim.ticks", &mut self.ticks),
+        ] {
+            if *count > 0 {
+                rec.inc(name, std::mem::take(count));
+            }
         }
-    }
-}
-
-impl MonitorSink for ReplaySink {
-    fn assignment(&mut self) {
-        self.assignments += 1;
-    }
-
-    fn quant_error(&mut self, id: SignalId, _name: &str, error: f64) {
-        self.quant[id.0 as usize].push(error);
-    }
-
-    fn overflow(&mut self, mode: OverflowMode) {
-        match mode {
-            OverflowMode::Saturate => self.saturations += 1,
-            _ => self.overflows += 1,
+        for i in self.pending.drain(..) {
+            let (metric, values) = &mut self.quant[i as usize];
+            rec.observe_seq(metric, values);
+            values.clear();
         }
-    }
-
-    fn overflow_detected(&mut self, name: &str, value: f64, cycle: u64) {
-        self.events.push(Event::OverflowDetected {
-            signal: name.to_string(),
-            value,
-            cycle,
-        });
-    }
-}
-
-/// The recorder-facing residue of a [`ReplaySink`], applied after the
-/// design borrow is released.
-struct ReplayFlush {
-    assignments: u64,
-    saturations: u64,
-    overflows: u64,
-    ticks: u64,
-    observes: Vec<(String, Vec<f64>)>,
-    events: Vec<Event>,
-}
-
-impl ReplayFlush {
-    fn apply(self, rec: &dyn Recorder) {
-        // Counters are flushed only when nonzero so an untouched counter
-        // stays absent, exactly as under per-assignment `inc` calls.
-        if self.assignments > 0 {
-            rec.inc("sim.assignments", self.assignments);
-        }
-        if self.saturations > 0 {
-            rec.inc("sim.saturations", self.saturations);
-        }
-        if self.overflows > 0 {
-            rec.inc("sim.overflows", self.overflows);
-        }
-        if self.ticks > 0 {
-            rec.inc("sim.ticks", self.ticks);
-        }
-        for (name, values) in &self.observes {
-            rec.observe_seq(name, values);
-        }
-        for ev in self.events {
+        for ev in self.events.drain(..) {
             rec.record_event(ev);
         }
+    }
+}
+
+impl Drop for MonitorSink {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
 /// One cycle-kind execution of a compiled replay.
 fn replay_segment(
     inner: &mut DesignInner,
-    sink: &mut ReplaySink,
     kind: &crate::tape::CycleKind,
     dtypes: &[DType],
     inputs: &[InputSample],
@@ -1623,12 +1589,12 @@ fn replay_segment(
             }
             Instr::Store(id) => {
                 let v = stack.pop().expect(UNDERFLOW);
-                assign_monitored(inner, sink, *id, &v);
+                assign_monitored(inner, *id, &v);
             }
             Instr::StoreInput(id) => {
                 let s = inputs[*cursor];
                 *cursor += 1;
-                assign_monitored(inner, sink, *id, &Value::with_paths(s.flt, s.fix, s.itv));
+                assign_monitored(inner, *id, &Value::with_paths(s.flt, s.fix, s.itv));
             }
         }
     }
@@ -1637,14 +1603,9 @@ fn replay_segment(
 /// The monitored assignment pipeline (paper Fig. 2): range and error
 /// statistics, quantization through the signal's type, overflow
 /// accounting, `error()` injection, range propagation and the wire or
-/// register commit. [`Design::assign`] and compiled replay both run it;
-/// they differ only in where `sink` sends the recorder-facing effects.
-fn assign_monitored(
-    inner: &mut DesignInner,
-    sink: &mut impl MonitorSink,
-    id: SignalId,
-    value: &Value,
-) {
+/// register commit. [`Design::assign`] and compiled replay both run it.
+fn assign_monitored(inner: &mut DesignInner, id: SignalId, value: &Value) {
+    let sink = &mut inner.monitor;
     let st = &mut inner.signals[id.0 as usize];
     st.writes += 1;
     st.stat.record(value.fix());
@@ -1731,6 +1692,7 @@ fn clock_edge(inner: &mut DesignInner) {
         }
     }
     inner.cycle += 1;
+    inner.monitor.tick();
 }
 
 /// Common interface of [`Sig`] and [`Reg`] handles.

@@ -15,7 +15,7 @@
 //! of a code execution" requirement the paper attaches to its analytical
 //! method.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use fixref_fixed::DType;
@@ -84,15 +84,54 @@ pub struct Node {
     pub args: Vec<NodeId>,
 }
 
+/// Hash-cons key of a node: operator tag, payload and up to three
+/// operands. It is `Copy`, so looking up a node that already exists
+/// allocates nothing. Two nodes share a key exactly when their operands
+/// are equal and their operators are equal with every NaN constant
+/// counted as one value: `0.0` and `-0.0` stay distinct, and casts
+/// compare their whole dtype (name included) through the graph's dtype
+/// table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct NodeKey {
+    tag: u8,
+    /// `Const`: the value's bits (NaN canonical); `Read`: the signal;
+    /// `Cast`: the dtype-table index; otherwise 0.
+    payload: u64,
+    /// Operands; slots past the operator's arity are 0.
+    args: [u32; 3],
+}
+
+impl NodeKey {
+    fn new(tag: u8, payload: u64, args: &[NodeId]) -> Self {
+        let mut ids = [0; 3];
+        for (slot, a) in ids.iter_mut().zip(args) {
+            *slot = a.0;
+        }
+        NodeKey {
+            tag,
+            payload,
+            args: ids,
+        }
+    }
+}
+
+const CAST_TAG: u8 = 10;
+
 /// A recorded signal-flow graph: nodes plus, per signal, the set of
 /// definition roots observed during simulation.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
+    /// Per signal, its definition roots in first-seen order.
     defs: HashMap<SignalId, Vec<NodeId>>,
+    /// Every `(signal, root)` pair in `defs`, for O(1) deduplication.
+    def_set: HashSet<(SignalId, NodeId)>,
     /// Structural-hash intern table so repeated loop bodies do not grow the
-    /// graph: key is (op-discriminant rendering, args).
-    intern: HashMap<(String, Vec<NodeId>), NodeId>,
+    /// graph.
+    intern: HashMap<NodeKey, NodeId>,
+    /// The cast dtype table: each distinct dtype's index, which is the
+    /// payload of its cast keys.
+    dtypes: HashMap<DType, u32>,
 }
 
 impl Graph {
@@ -143,21 +182,57 @@ impl Graph {
     /// Adds a node (interned: structurally identical nodes share an id).
     pub fn add(&mut self, op: Op, args: Vec<NodeId>) -> NodeId {
         assert_eq!(op.arity(), args.len(), "arity mismatch for {op:?}");
-        let key = (format!("{op:?}"), args.clone());
+        let key = self.key(&op, &args);
+        self.intern_key(key, || Node { op, args })
+    }
+
+    fn key(&mut self, op: &Op, args: &[NodeId]) -> NodeKey {
+        let (tag, payload) = match op {
+            Op::Const(c) => (0, if c.is_nan() { f64::NAN } else { *c }.to_bits()),
+            Op::Read(s) => (1, u64::from(s.0)),
+            Op::Add => (2, 0),
+            Op::Sub => (3, 0),
+            Op::Mul => (4, 0),
+            Op::Div => (5, 0),
+            Op::Neg => (6, 0),
+            Op::Abs => (7, 0),
+            Op::Min => (8, 0),
+            Op::Max => (9, 0),
+            Op::Cast(dt) => (CAST_TAG, self.dtype_index(dt)),
+            Op::Select => (11, 0),
+        };
+        NodeKey::new(tag, payload, args)
+    }
+
+    /// The id of the node behind `key`, creating it with `make` if absent.
+    fn intern_key(&mut self, key: NodeKey, make: impl FnOnce() -> Node) -> NodeId {
         if let Some(&id) = self.intern.get(&key) {
             return id;
         }
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node { op, args });
+        self.nodes.push(make());
         self.intern.insert(key, id);
         id
     }
 
-    /// Records `root` as one definition of `signal` (deduplicated).
+    /// The dtype table index of `dt`, registering it on first sight.
+    fn dtype_index(&mut self, dt: &DType) -> u64 {
+        let next = self.dtypes.len() as u32;
+        let index = match self.dtypes.get(dt) {
+            Some(&i) => i,
+            None => {
+                self.dtypes.insert(dt.clone(), next);
+                next
+            }
+        };
+        u64::from(index)
+    }
+
+    /// Records `root` as one definition of `signal` (deduplicated, in
+    /// first-seen order).
     pub fn record_def(&mut self, signal: SignalId, root: NodeId) {
-        let defs = self.defs.entry(signal).or_default();
-        if !defs.contains(&root) {
-            defs.push(root);
+        if self.def_set.insert((signal, root)) {
+            self.defs.entry(signal).or_default().push(root);
         }
     }
 
@@ -173,10 +248,11 @@ impl Graph {
     }
 
     fn intern_node(&mut self, node: &ExprNode) -> Option<NodeId> {
-        let mut args = Vec::with_capacity(node.args.len());
-        for a in &node.args {
-            args.push(self.intern_expr(a)?);
+        let mut ids = [NodeId(0); 3];
+        for (slot, a) in ids.iter_mut().zip(&node.args) {
+            *slot = self.intern_expr(a)?;
         }
+        let args = &ids[..node.args.len()];
         let op = match node.op {
             ExprOp::Add => Op::Add,
             ExprOp::Sub => Op::Sub,
@@ -187,9 +263,22 @@ impl Graph {
             ExprOp::Min => Op::Min,
             ExprOp::Max => Op::Max,
             ExprOp::Select => Op::Select,
-            ExprOp::Cast => Op::Cast(node.dtype.clone().expect("cast carries dtype")),
+            ExprOp::Cast => {
+                // Keyed through the dtype table so a repeated cast clones
+                // no dtype.
+                let dt = node.dtype.as_ref().expect("cast carries dtype");
+                let key = NodeKey::new(CAST_TAG, self.dtype_index(dt), args);
+                return Some(self.intern_key(key, || Node {
+                    op: Op::Cast(dt.clone()),
+                    args: args.to_vec(),
+                }));
+            }
         };
-        Some(self.add(op, args))
+        let key = self.key(&op, args);
+        Some(self.intern_key(key, || Node {
+            op,
+            args: args.to_vec(),
+        }))
     }
 
     /// The set of signals read (transitively) by the definitions of
@@ -250,6 +339,67 @@ mod tests {
         // Different constants are different nodes.
         let c2 = g.add(Op::Const(3.0), vec![]);
         assert_ne!(c1, c2);
+    }
+
+    #[test]
+    fn signed_zero_constants_stay_distinct() {
+        let mut g = Graph::new();
+        let pos = g.add(Op::Const(0.0), vec![]);
+        let neg = g.add(Op::Const(-0.0), vec![]);
+        assert_ne!(pos, neg);
+        assert_eq!(g.add(Op::Const(-0.0), vec![]), neg);
+        assert_eq!(g.len(), 2);
+    }
+
+    #[test]
+    fn nan_constants_intern_to_one_node() {
+        let quiet = f64::NAN;
+        let payload = f64::from_bits(0x7ff8_0000_0000_0bad);
+        let negative = f64::from_bits(0xfff0_0000_0000_0001);
+        assert!(payload.is_nan() && negative.is_nan());
+        assert_ne!(quiet.to_bits(), payload.to_bits());
+        let mut g = Graph::new();
+        let a = g.add(Op::Const(quiet), vec![]);
+        assert_eq!(g.add(Op::Const(payload), vec![]), a);
+        assert_eq!(g.add(Op::Const(negative), vec![]), a);
+        assert_eq!(g.len(), 1);
+    }
+
+    #[test]
+    fn casts_compare_the_whole_dtype_including_its_name() {
+        let t = fixref_fixed::DType::tc("t", 8, 4).unwrap();
+        let u = fixref_fixed::DType::tc("u", 8, 4).unwrap();
+        let mut g = Graph::new();
+        let x = g.add(Op::Read(sid(0)), vec![]);
+        let ct = g.add(Op::Cast(t.clone()), vec![x]);
+        let cu = g.add(Op::Cast(u.clone()), vec![x]);
+        assert_ne!(ct, cu, "dtypes differing only by name stay distinct");
+        assert_eq!(g.add(Op::Cast(t.clone()), vec![x]), ct);
+        assert_eq!(g.add(Op::Cast(u), vec![x]), cu);
+        // Another operand is another node under the same dtype.
+        let y = g.add(Op::Read(sid(1)), vec![]);
+        assert_ne!(g.add(Op::Cast(t.clone()), vec![y]), ct);
+        assert_eq!(g.node(ct).op, Op::Cast(t));
+        assert_eq!(g.len(), 5);
+    }
+
+    #[test]
+    fn record_def_keeps_first_seen_order_over_many_roots() {
+        let mut g = Graph::new();
+        let roots: Vec<NodeId> = (0..50_000)
+            .map(|i| g.add(Op::Const(f64::from(i)), vec![]))
+            .collect();
+        // Scrambled first-seen order, with every root repeated.
+        let order: Vec<NodeId> = (0..roots.len())
+            .map(|i| roots[(i * 7919) % roots.len()])
+            .collect();
+        for &r in &order {
+            g.record_def(sid(3), r);
+        }
+        for &r in order.iter().rev() {
+            g.record_def(sid(3), r);
+        }
+        assert_eq!(g.defs(sid(3)), order.as_slice());
     }
 
     #[test]
